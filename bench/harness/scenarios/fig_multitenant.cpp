@@ -28,6 +28,7 @@
 #include "serve/serve_policy.h"
 #include "serve/service.h"
 #include "util/stats.h"
+#include "util/strings.h"
 #include "workloads/workload.h"
 
 namespace rtmp::benchtool::scenarios {
@@ -144,7 +145,7 @@ void Run(ScenarioContext& ctx) {
                                    kGridDbcs),
             config);
         for (std::size_t i = 0; i < benchmark.sequences.size(); ++i) {
-          (void)service.OpenSession("t" + std::to_string(i),
+          (void)service.OpenSession(util::Concat({"t", std::to_string(i)}),
                                     benchmark.sequences[i]);
         }
         const serve::ServeResult result = service.Run();

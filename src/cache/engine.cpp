@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "online/migration.h"
+#include "util/strings.h"
 
 namespace rtmp::cache {
 
@@ -51,6 +54,10 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
                                 config_.eviction + "'");
   }
   frames_.resize(config_.capacity_slots);
+  frame_ids_.resize(frames_.size());
+  std::iota(frame_ids_.begin(), frame_ids_.end(), 0u);
+  recency_prev_.assign(frames_.size(), kNoFrame);
+  recency_next_.assign(frames_.size(), kNoFrame);
   frame_pending_.assign(frames_.size(), 0);
   last_offsets_.assign(device.total_dbcs(), -1);
   engine_.SetPreServeHook(
@@ -95,12 +102,48 @@ std::uint32_t CacheEngine::RegisterVariable(std::string_view name,
   }
   if (id < frames_.size()) {
     // Free admission: the initial resident set (see RegisterVariable doc).
+    // Ids are dense, so the frame is the next one past the resident
+    // prefix.
     frame_of_[id] = id;
     frames_[id].occupant = id;
     frames_[id].owner = owner;
     ++owner_resident_[owner];
+    ++resident_;
+    AdmitCold(id);
   }
   return id;
+}
+
+void CacheEngine::AdmitCold(std::uint32_t frame) {
+  // The newcomer has the largest id of all never-touched frames, so the
+  // end of the cold segment is its place in (last_use, id) order.
+  LinkAfter(frame, cold_tail_);
+  cold_tail_ = frame;
+}
+
+void CacheEngine::Touch(std::uint32_t frame) {
+  // A touched frame leaves the cold segment, which then ends one frame
+  // earlier — also when the frame is the list tail and stays put.
+  if (frame == cold_tail_) cold_tail_ = recency_prev_[frame];
+  if (frame == recency_tail_) return;
+  Unlink(frame);
+  LinkAfter(frame, recency_tail_);
+}
+
+void CacheEngine::LinkAfter(std::uint32_t frame, std::uint32_t prev) {
+  const std::uint32_t next =
+      prev == kNoFrame ? recency_head_ : recency_next_[prev];
+  recency_prev_[frame] = prev;
+  recency_next_[frame] = next;
+  (prev == kNoFrame ? recency_head_ : recency_next_[prev]) = frame;
+  (next == kNoFrame ? recency_tail_ : recency_prev_[next]) = frame;
+}
+
+void CacheEngine::Unlink(std::uint32_t frame) {
+  const std::uint32_t prev = recency_prev_[frame];
+  const std::uint32_t next = recency_next_[frame];
+  (prev == kNoFrame ? recency_head_ : recency_next_[prev]) = next;
+  (next == kNoFrame ? recency_tail_ : recency_prev_[next]) = prev;
 }
 
 void CacheEngine::SetOwnerQuota(std::uint32_t owner, std::size_t quota) {
@@ -155,8 +198,9 @@ void CacheEngine::RegisterFramePool() {
   // dedupe hit here would silently fuse two frames).
   for (std::size_t f = 0; f < frames_.size(); ++f) {
     const std::uint32_t occupant = frames_[f].occupant;
-    std::string name = occupant != kNoFrame ? names_[occupant]
-                                            : "f" + std::to_string(f);
+    std::string name = occupant != kNoFrame
+                           ? names_[occupant]
+                           : util::Concat({"f", std::to_string(f)});
     std::uint32_t id = engine_.RegisterVariable(name);
     while (id != f) {
       name += "'";
@@ -169,14 +213,18 @@ void CacheEngine::ResolveWindow() {
   if (window_.empty()) return;
   RegisterFramePool();
 
-  remaining_uses_.assign(names_.size(), 0);
+  // Both per-variable and per-frame pending counts are all zeros between
+  // windows (see their docs), so set-up touches the window's variables
+  // only.
+  remaining_uses_.resize(names_.size(), 0);
   for (const trace::Access& access : window_) {
     ++remaining_uses_[access.variable];
   }
-  for (std::size_t f = 0; f < frames_.size(); ++f) {
-    frame_pending_[f] = frames_[f].occupant == kNoFrame
-                            ? 0
-                            : remaining_uses_[frames_[f].occupant];
+  for (const trace::Access& access : window_) {
+    const std::uint32_t frame = frame_of_[access.variable];
+    if (frame != kNoFrame) {
+      frame_pending_[frame] = remaining_uses_[access.variable];
+    }
   }
   std::fill(last_offsets_.begin(), last_offsets_.end(), -1);
   // Victim ranking peeks the placement that served the PREVIOUS window —
@@ -198,6 +246,7 @@ void CacheEngine::ResolveWindow() {
       if (m_hits_ != nullptr) ++*m_hits_;
       FrameInfo& info = frames_[frame];
       info.last_use = tick_;
+      Touch(frame);
       ++info.uses;
       if (access.type == trace::AccessType::kWrite) info.dirty = true;
       if (config_.record_events) {
@@ -231,27 +280,49 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   const bool scoped = owner < owner_quota_.size() &&
                       owner_quota_[owner] != 0 &&
                       owner_resident_[owner] >= owner_quota_[owner];
-  candidates_scratch_.clear();
-  for (std::uint32_t f = 0; f < frames_.size(); ++f) {
-    if (frames_[f].occupant == kNoFrame) continue;
-    if (scoped && frames_[f].owner != owner) continue;
-    candidates_scratch_.push_back(f);
+  EvictionContext ctx;
+  if (scoped) {
+    candidates_scratch_.clear();
+    for (std::uint32_t f = 0; f < resident_; ++f) {
+      if (frames_[f].owner == owner) candidates_scratch_.push_back(f);
+    }
+    ctx.candidates = candidates_scratch_;
+    ctx.scope_owner = owner;
+  } else {
+    ctx.candidates =
+        std::span<const std::uint32_t>(frame_ids_).first(resident_);
   }
-  if (candidates_scratch_.empty()) {
+  if (ctx.candidates.empty()) {
     throw std::logic_error("CacheEngine: miss with no eviction candidates");
   }
-
-  EvictionContext ctx;
-  ctx.candidates = candidates_scratch_;
   ctx.frames = frames_;
+  ctx.recency_head = recency_head_;
+  ctx.recency_next = recency_next_;
   ctx.placement = engine_.placed() ? &engine_.placement() : nullptr;
   ctx.last_offsets = last_offsets_;
   ctx.pending_uses = frame_pending_;
   ctx.tick = tick_;
+#ifndef NDEBUG
+  {
+    // The list walk must reproduce a full (last_use, id) sort of the
+    // candidates — the order the policies' shortlists are cut from.
+    std::vector<std::uint32_t> sorted(ctx.candidates.begin(),
+                                      ctx.candidates.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                if (frames_[a].last_use != frames_[b].last_use) {
+                  return frames_[a].last_use < frames_[b].last_use;
+                }
+                return a < b;
+              });
+    std::vector<std::uint32_t> listed(sorted.size() + 1, kNoFrame);
+    listed.resize(LeastRecentCandidates(ctx, listed));
+    assert(listed == sorted);
+  }
+#endif
   const std::uint32_t victim = policy_->PickVictim(ctx);
-  if (victim >= frames_.size() ||
-      std::find(candidates_scratch_.begin(), candidates_scratch_.end(),
-                victim) == candidates_scratch_.end()) {
+  // Candidates are the resident prefix, filtered by owner when scoped.
+  if (victim >= resident_ || (scoped && frames_[victim].owner != owner)) {
     throw std::logic_error(
         "CacheEngine: eviction policy picked a non-candidate frame");
   }
@@ -276,6 +347,7 @@ std::uint32_t CacheEngine::ResolveMiss(std::uint32_t variable,
   info.owner = owner;
   info.dirty = type == trace::AccessType::kWrite;
   info.last_use = tick_;
+  Touch(victim);
   info.uses = 1;
   info.admitted = tick_;
   if (config_.record_events) {
@@ -369,14 +441,6 @@ CacheStats CacheEngine::stats() const {
   out.backing_ns = backing_.busy_ns();
   out.backing_pj = backing_.energy_pj();
   return out;
-}
-
-std::size_t CacheEngine::resident() const noexcept {
-  std::size_t count = 0;
-  for (const FrameInfo& frame : frames_) {
-    if (frame.occupant != kNoFrame) ++count;
-  }
-  return count;
 }
 
 CacheResult RunCache(const trace::AccessSequence& seq,

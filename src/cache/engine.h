@@ -199,9 +199,10 @@ class CacheEngine {
     return frames_.size();
   }
 
-  /// Frames currently holding a variable — always <= capacity(), and
-  /// equal to min(variables_seen(), capacity()) once any access flowed.
-  [[nodiscard]] std::size_t resident() const noexcept;
+  /// Frames currently holding a variable: min(variables_seen(),
+  /// capacity()). Admission fills frames in id order and a frame never
+  /// empties, so the resident frames are always [0, resident()). O(1).
+  [[nodiscard]] std::size_t resident() const noexcept { return resident_; }
 
   /// Logical variables registered so far.
   [[nodiscard]] std::size_t variables_seen() const noexcept {
@@ -237,6 +238,16 @@ class CacheEngine {
   /// Handles one miss of `variable` (owned by its registered owner);
   /// returns the frame it was filled into.
   std::uint32_t ResolveMiss(std::uint32_t variable, trace::AccessType type);
+  /// Links a freshly admitted frame (last_use 0) at the end of the cold
+  /// segment.
+  void AdmitCold(std::uint32_t frame);
+  /// Moves `frame`, whose last_use was just set to the current tick, to
+  /// the most recent end of the recency list.
+  void Touch(std::uint32_t frame);
+  /// Recency-list splicing: LinkAfter inserts `frame` after `prev`
+  /// (kNoFrame = at the head); Unlink takes it out.
+  void LinkAfter(std::uint32_t frame, std::uint32_t prev);
+  void Unlink(std::uint32_t frame);
   /// Pre-serve hook body: executes the pending eviction/fill sweeps on
   /// the wrapped controller under the window's final placement.
   void ExecutePendingFills(const core::Placement& placement,
@@ -265,14 +276,36 @@ class CacheEngine {
   std::vector<FrameInfo> frames_;
   std::vector<std::size_t> owner_resident_;
   std::vector<std::size_t> owner_quota_;
+  /// Occupied frames; they are exactly [0, resident_) (see resident()).
+  std::size_t resident_ = 0;
+  /// Identity map frame -> frame id: its [0, resident_) prefix is the
+  /// candidate span of every unscoped miss.
+  std::vector<std::uint32_t> frame_ids_;
+
+  // Recency list over the resident frames, least recent first, in
+  // exactly ascending (last_use, frame id) order (EvictionContext).
+  // Ticks are unique per access, so only never-touched frames tie on
+  // last_use (0): they form the COLD segment at the head, in id order,
+  // ending at `cold_tail_` (kNoFrame when empty). A late free admission
+  // (a new name while frames are still empty) joins the end of that
+  // segment, not the tail; every hit or fill moves its frame to the
+  // tail. Each update is O(1).
+  std::vector<std::uint32_t> recency_prev_;
+  std::vector<std::uint32_t> recency_next_;
+  std::uint32_t recency_head_ = kNoFrame;
+  std::uint32_t recency_tail_ = kNoFrame;
+  std::uint32_t cold_tail_ = kNoFrame;
 
   // Current logical window.
   std::vector<trace::Access> window_;
   /// Frame-mapped image of `window_`, fed to the wrapped engine.
   std::vector<trace::Access> frame_block_;
-  /// variable -> accesses of it left in the window being resolved.
+  /// variable -> accesses of it left in the window being resolved. Every
+  /// access adds one use and consumes one, so it is all zeros between
+  /// windows and only the window's variables need touching.
   std::vector<std::uint64_t> remaining_uses_;
-  /// frame -> remaining window uses of its occupant (EvictionContext).
+  /// frame -> remaining window uses of its occupant (EvictionContext);
+  /// likewise all zeros between windows.
   std::vector<std::uint64_t> frame_pending_;
   /// Per-DBC offset of the window's latest routed access (-1 untouched).
   std::vector<std::int64_t> last_offsets_;
@@ -281,7 +314,8 @@ class CacheEngine {
   /// window): each occurrence is one transfer.
   std::vector<std::uint32_t> pending_writeback_frames_;
   std::vector<std::uint32_t> pending_fill_frames_;
-  /// Victim-candidate and sweep scratch, reused across misses/windows.
+  /// Quota-scoped candidate and sweep scratch, reused across
+  /// misses/windows.
   std::vector<std::uint32_t> candidates_scratch_;
   std::vector<core::Slot> slot_scratch_;
   std::vector<rtm::TimedRequest> fill_requests_;

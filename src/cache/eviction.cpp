@@ -1,6 +1,7 @@
 #include "cache/eviction.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -14,16 +15,11 @@ namespace rtmp::cache {
 
 namespace {
 
-/// Least-recently-used frame among `candidates`; frame id breaks ties
-/// (candidates arrive in ascending frame order, so "first strict
-/// improvement wins" is the id tie-break).
-std::uint32_t LeastRecentlyUsed(std::span<const std::uint32_t> candidates,
-                                std::span<const FrameInfo> frames) {
-  std::uint32_t best = candidates.front();
-  for (const std::uint32_t frame : candidates.subspan(1)) {
-    if (frames[frame].last_use < frames[best].last_use) best = frame;
-  }
-  return best;
+/// Least recently used candidate: the first in-scope frame on the list.
+std::uint32_t LeastRecentlyUsed(const EvictionContext& ctx) {
+  std::uint32_t victim = kNoFrame;
+  (void)LeastRecentCandidates(ctx, std::span<std::uint32_t>(&victim, 1));
+  return victim;
 }
 
 class LruPolicy final : public EvictionPolicy {
@@ -35,7 +31,7 @@ class LruPolicy final : public EvictionPolicy {
   }
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    return LeastRecentlyUsed(ctx.candidates, ctx.frames);
+    return LeastRecentlyUsed(ctx);
   }
 
  private:
@@ -83,9 +79,7 @@ class SampledLruPolicy final : public EvictionPolicy {
   }
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    if (ctx.candidates.size() <= kSample) {
-      return LeastRecentlyUsed(ctx.candidates, ctx.frames);
-    }
+    if (ctx.candidates.size() <= kSample) return LeastRecentlyUsed(ctx);
     std::uint32_t best = kNoFrame;
     for (std::size_t draw = 0; draw < kSample; ++draw) {
       const std::uint32_t frame =
@@ -106,11 +100,11 @@ class SampledLruPolicy final : public EvictionPolicy {
 };
 
 /// Placement-aware eviction: shortlist the 8 least recently used
-/// candidates, then pick the one that (a) will not be re-missed this
-/// window (no pending uses), (b) sits closest to where its DBC's port
-/// alignment already is — so the eviction read sweep adds the fewest
-/// shifts under the first-access-free convention — and (c) is coldest,
-/// in that lexicographic order.
+/// candidates off the recency list, then pick the one that (a) will not
+/// be re-missed this window (no pending uses), (b) sits closest to where
+/// its DBC's port alignment already is — so the eviction read sweep adds
+/// the fewest shifts under the first-access-free convention — and (c) is
+/// coldest, in that lexicographic order.
 class ShiftAwarePolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kShortlist = 8;
@@ -123,26 +117,13 @@ class ShiftAwarePolicy final : public EvictionPolicy {
   }
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
-    shortlist_.assign(ctx.candidates.begin(), ctx.candidates.end());
-    const auto lru_order = [&ctx](std::uint32_t a, std::uint32_t b) {
-      if (ctx.frames[a].last_use != ctx.frames[b].last_use) {
-        return ctx.frames[a].last_use < ctx.frames[b].last_use;
-      }
-      return a < b;
-    };
-    if (shortlist_.size() > kShortlist) {
-      std::partial_sort(shortlist_.begin(),
-                        shortlist_.begin() + kShortlist, shortlist_.end(),
-                        lru_order);
-      shortlist_.resize(kShortlist);
-    } else {
-      std::sort(shortlist_.begin(), shortlist_.end(), lru_order);
-    }
+    std::array<std::uint32_t, kShortlist> lru{};
+    const std::span<const std::uint32_t> shortlist(
+        lru.data(), LeastRecentCandidates(ctx, lru));
 
-    std::uint32_t best = shortlist_.front();
+    std::uint32_t best = shortlist.front();
     auto best_key = ScoreOf(best, ctx);
-    for (std::size_t i = 1; i < shortlist_.size(); ++i) {
-      const std::uint32_t frame = shortlist_[i];
+    for (const std::uint32_t frame : shortlist.subspan(1)) {
       const auto key = ScoreOf(frame, ctx);
       if (key < best_key) {
         best = frame;
@@ -190,10 +171,24 @@ class ShiftAwarePolicy final : public EvictionPolicy {
   }
 
   EvictionPolicyInfo info_;
-  std::vector<std::uint32_t> shortlist_;
 };
 
 }  // namespace
+
+std::size_t LeastRecentCandidates(const EvictionContext& ctx,
+                                  std::span<std::uint32_t> out) {
+  std::size_t count = 0;
+  for (std::uint32_t frame = ctx.recency_head;
+       frame != kNoFrame && count < out.size();
+       frame = ctx.recency_next[frame]) {
+    if (ctx.scope_owner != kAnyOwner &&
+        ctx.frames[frame].owner != ctx.scope_owner) {
+      continue;
+    }
+    out[count++] = frame;
+  }
+  return count;
+}
 
 EvictionPolicyRegistry& EvictionPolicyRegistry::Global() {
   static EvictionPolicyRegistry* registry = [] {

@@ -6,10 +6,11 @@
 // frame, the engine asks a policy to pick a victim among the candidate
 // frames, writes the victim back if dirty, and fills the newcomer into
 // the freed frame. Policies are pure victim-selectors: they see frame
-// bookkeeping (recency, frequency, dirtiness, owner), the wrapped
-// engine's current placement, and a summary of the rest of the window
-// (pending uses per frame), and return one frame index. All residency
-// and traffic bookkeeping stays in the engine.
+// bookkeeping (recency, frequency, dirtiness, owner), the engine's
+// recency list over the resident frames, the wrapped engine's current
+// placement, and a summary of the rest of the window (pending uses per
+// frame), and return one frame index. All residency and traffic
+// bookkeeping stays in the engine.
 //
 // Policies may be stateful (cache-sample keeps an RNG) but are used from
 // a single thread per engine; the registry hands out a fresh instance
@@ -35,6 +36,10 @@ namespace rtmp::cache {
 /// engine and the policies.
 inline constexpr std::uint32_t kNoFrame = static_cast<std::uint32_t>(-1);
 
+/// EvictionContext::scope_owner of an unscoped miss: every resident frame
+/// is a candidate.
+inline constexpr std::uint32_t kAnyOwner = static_cast<std::uint32_t>(-1);
+
 /// Per-frame bookkeeping the engine maintains and policies read.
 struct FrameInfo {
   /// Logical variable currently resident in this frame; kNoFrame while
@@ -58,11 +63,22 @@ struct FrameInfo {
 /// into engine-owned storage and are valid only for the duration of the
 /// PickVictim call.
 struct EvictionContext {
-  /// Frame indices the victim must come from (never empty). Usually all
-  /// frames; under per-tenant quotas, the over-quota tenant's frames.
+  /// Frame indices the victim must come from (never empty), ascending.
+  /// Usually every resident frame; under per-tenant quotas, the
+  /// over-quota tenant's resident frames.
   std::span<const std::uint32_t> candidates;
   /// Bookkeeping for ALL frames, indexed by frame id.
   std::span<const FrameInfo> frames;
+  /// The engine's recency list over every resident frame, least recent
+  /// first: `recency_head` is its first frame and `recency_next[f]` the
+  /// frame after f (kNoFrame past the last). Its order is exactly
+  /// ascending (last_use, frame id), so walking it yields the candidates
+  /// in LRU order without sorting (see LeastRecentCandidates).
+  std::uint32_t recency_head = kNoFrame;
+  std::span<const std::uint32_t> recency_next;
+  /// The owner whose frames the candidates are on a quota-scoped miss;
+  /// kAnyOwner on an unscoped one. List walks skip other owners' frames.
+  std::uint32_t scope_owner = kAnyOwner;
   /// The wrapped engine's live placement of frames onto the device, or
   /// nullptr before the first window has been placed. Frame f's slot is
   /// placement->SlotOf(f) when placement->IsPlaced(f).
@@ -79,6 +95,14 @@ struct EvictionContext {
   /// Engine tick of the access that triggered the miss.
   std::uint64_t tick = 0;
 };
+
+/// Fills `out` with the least recently used candidates of `ctx`, least
+/// recent first, by walking the recency list and skipping frames outside
+/// `ctx.scope_owner`; returns how many it wrote (fewer than out.size()
+/// only when the candidates run out). O(out.size()) on an unscoped miss;
+/// a scoped walk also steps over every more-stale frame of other owners.
+std::size_t LeastRecentCandidates(const EvictionContext& ctx,
+                                  std::span<std::uint32_t> out);
 
 /// Self-description of a registered eviction policy.
 struct EvictionPolicyInfo {
@@ -173,19 +197,30 @@ class EvictionPolicyRegistry {
 
 /// Registers the built-in policies into `registry`:
 ///
-///   cache-lru          evict the least recently used frame;
+///   cache-lru          evict the least recently used frame: the head of
+///                      the recency list;
 ///   cache-lfu          evict the least frequently used frame (recency,
-///                      then id, break ties);
+///                      then id, break ties) — a scan of the candidates;
 ///   cache-sample       zsim-style sampled LRU: draw K=5 candidate
 ///                      frames with the policy's own RNG, evict the
-///                      least recently used of the sample — O(K) per
-///                      miss regardless of capacity;
-///   cache-shift-aware  rank an LRU-ordered shortlist by a placement-
-///                      aware score: prefer victims with no pending uses
-///                      this window, then the victim whose slot is
-///                      closest to its DBC's last serviced offset (the
-///                      cheapest eviction sweep under the cost model's
+///                      least recently used of the sample (the list head
+///                      when there are at most K candidates);
+///   cache-shift-aware  rank the 8 least recently used candidates, taken
+///                      off the recency list, by a placement-aware
+///                      score: prefer victims with no pending uses this
+///                      window, then the victim whose slot is closest to
+///                      its DBC's last serviced offset (the cheapest
+///                      eviction sweep under the cost model's
 ///                      first-access-free convention), then recency.
+///
+/// Per-miss cost, engine side included. An unscoped miss hands over a
+/// prefix of a persistent frame-id array and the live list, so it costs
+/// O(1) for cache-lru, O(K) for cache-sample, O(8) for
+/// cache-shift-aware and O(capacity) for cache-lfu. A quota-scoped miss
+/// first builds the owner's candidate list in O(capacity); the list
+/// walks of cache-lru, cache-shift-aware and the small-set cache-sample
+/// path then skip other owners' frames, which is also O(capacity) in the
+/// worst case.
 ///
 /// Global() calls this once; tests use it to build fresh registries.
 void RegisterBuiltinEvictionPolicies(EvictionPolicyRegistry& registry);

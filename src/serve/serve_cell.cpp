@@ -72,7 +72,7 @@ sim::RunResult RunServeCell(const offsetstone::Benchmark& benchmark,
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
     const trace::AccessSequence& seq = benchmark.sequences[s];
     if (seq.num_variables() == 0) continue;
-    (void)service.OpenSession("t" + std::to_string(s), seq);
+    (void)service.OpenSession(util::Concat({"t", std::to_string(s)}), seq);
   }
   const ServeResult result = service.Run();
   run.placement_cost = result.placement_cost;

@@ -8,6 +8,7 @@
 // registry/validation error surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -146,84 +147,153 @@ TEST(CacheOracle, FullCapacityCellEqualsOnlineCell) {
   }
 }
 
-/// Builds an EvictionContext over hand-authored frames. `frames` and
-/// `candidates` must outlive the context.
+/// Storage an EvictionContext built by MakeContext spans over.
+struct ContextStorage {
+  std::vector<std::uint32_t> candidates;
+  std::vector<std::uint32_t> recency_next;
+};
+
+/// Builds an EvictionContext over hand-authored frames the way the engine
+/// does: the candidates are the occupied frames (only `scope_owner`'s
+/// when scoped), ascending, and the recency list links every occupied
+/// frame in (last_use, frame id) order. `frames`, `pending` and
+/// `storage` must outlive the context.
 cache::EvictionContext MakeContext(
-    const std::vector<std::uint32_t>& candidates,
     const std::vector<cache::FrameInfo>& frames,
-    const std::vector<std::uint64_t>& pending, std::uint64_t tick) {
+    const std::vector<std::uint64_t>& pending, ContextStorage& storage,
+    std::uint32_t scope_owner = cache::kAnyOwner) {
+  std::vector<std::uint32_t> order;
+  storage.candidates.clear();
+  for (std::uint32_t f = 0; f < frames.size(); ++f) {
+    if (frames[f].occupant == cache::kNoFrame) continue;
+    order.push_back(f);
+    if (scope_owner == cache::kAnyOwner || frames[f].owner == scope_owner) {
+      storage.candidates.push_back(f);
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [&frames](std::uint32_t a, std::uint32_t b) {
+              if (frames[a].last_use != frames[b].last_use) {
+                return frames[a].last_use < frames[b].last_use;
+              }
+              return a < b;
+            });
+  storage.recency_next.assign(frames.size(), cache::kNoFrame);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    storage.recency_next[order[i - 1]] = order[i];
+  }
+
   cache::EvictionContext ctx;
-  ctx.candidates = candidates;
+  ctx.candidates = storage.candidates;
   ctx.frames = frames;
+  ctx.recency_head = order.empty() ? cache::kNoFrame : order.front();
+  ctx.recency_next = storage.recency_next;
+  ctx.scope_owner = scope_owner;
   ctx.placement = nullptr;
   ctx.pending_uses = pending;
-  ctx.tick = tick;
+  ctx.tick = 10;
   return ctx;
 }
 
+/// Occupied frames with the given recency, frequency and owners (owner 0
+/// where `owners` is empty).
 std::vector<cache::FrameInfo> OccupiedFrames(
     const std::vector<std::uint64_t>& last_uses,
-    const std::vector<std::uint64_t>& uses) {
+    const std::vector<std::uint64_t>& uses,
+    const std::vector<std::uint32_t>& owners = {}) {
   std::vector<cache::FrameInfo> frames(last_uses.size());
   for (std::uint32_t f = 0; f < frames.size(); ++f) {
     frames[f].occupant = f;
     frames[f].last_use = last_uses[f];
     frames[f].uses = uses[f];
+    if (!owners.empty()) frames[f].owner = owners[f];
   }
   return frames;
 }
 
+std::unique_ptr<cache::EvictionPolicy> CreatePolicy(const std::string& name,
+                                                    std::uint64_t seed = 0) {
+  auto policy = cache::EvictionPolicyRegistry::Global().Create(name, seed);
+  EXPECT_NE(policy, nullptr) << name;
+  return policy;
+}
+
+TEST(EvictionPolicies, RecencyWalkFollowsLastUseThenId) {
+  // Two never-touched frames (last_use 0) tie and list in id order ahead
+  // of the touched ones; the scoped walk skips owner 1's frames.
+  const std::vector<std::uint32_t> owners = {0, 1, 0, 0, 1};
+  const auto frames = OccupiedFrames({7, 0, 3, 0, 5}, {1, 1, 1, 1, 1}, owners);
+  const std::vector<std::uint64_t> pending(frames.size(), 0);
+  ContextStorage storage;
+  std::vector<std::uint32_t> out(6, cache::kNoFrame);
+
+  const auto all = MakeContext(frames, pending, storage);
+  out.resize(cache::LeastRecentCandidates(all, out));
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 3, 2, 4, 0}));
+
+  const auto scoped = MakeContext(frames, pending, storage, /*owner=*/0);
+  out.assign(2, cache::kNoFrame);
+  out.resize(cache::LeastRecentCandidates(scoped, out));
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{3, 2}));
+}
+
 TEST(EvictionPolicies, LruPicksLeastRecentlyUsed) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-lru", 0);
+  const auto policy = CreatePolicy("cache-lru");
   ASSERT_NE(policy, nullptr);
-  const auto frames = OccupiedFrames({7, 3, 9, 5}, {1, 1, 1, 1});
-  const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
+  const auto frames = OccupiedFrames({7, 3, 9, 5}, {1, 1, 1, 1}, {0, 1, 0, 1});
   const std::vector<std::uint64_t> pending(4, 0);
-  EXPECT_EQ(policy->PickVictim(MakeContext(candidates, frames, pending, 10)),
-            1u);
+  ContextStorage storage;
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage)), 1u);
   // Scoped candidates: the global minimum is out of reach.
-  const std::vector<std::uint32_t> scoped = {0, 2};
-  EXPECT_EQ(policy->PickVictim(MakeContext(scoped, frames, pending, 10)), 0u);
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage, 0)), 0u);
 }
 
 TEST(EvictionPolicies, LfuPicksLeastFrequentThenOldest) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-lfu", 0);
+  const auto policy = CreatePolicy("cache-lfu");
   ASSERT_NE(policy, nullptr);
-  const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
+  const auto frames = OccupiedFrames({7, 3, 9, 5}, {4, 2, 9, 2});
   const std::vector<std::uint64_t> pending(4, 0);
-  {
-    const auto frames = OccupiedFrames({7, 3, 9, 5}, {4, 2, 9, 2});
-    // uses tie between frames 1 and 3 -> older last_use (frame 1) loses.
-    EXPECT_EQ(
-        policy->PickVictim(MakeContext(candidates, frames, pending, 10)), 1u);
-  }
+  ContextStorage storage;
+  // uses tie between frames 1 and 3 -> older last_use (frame 1) loses.
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage)), 1u);
 }
 
 TEST(EvictionPolicies, SampledLruDegeneratesToLruOnSmallSets) {
-  const auto policy =
-      cache::EvictionPolicyRegistry::Global().Create("cache-sample", 42);
+  const auto policy = CreatePolicy("cache-sample", 42);
   ASSERT_NE(policy, nullptr);
-  // <= sample size: the policy must scan everything, no randomness.
+  // <= sample size: the policy takes the list head, no randomness.
   const auto frames = OccupiedFrames({7, 3, 9, 5}, {1, 1, 1, 1});
-  const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
   const std::vector<std::uint64_t> pending(4, 0);
-  EXPECT_EQ(policy->PickVictim(MakeContext(candidates, frames, pending, 10)),
-            1u);
+  ContextStorage storage;
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage)), 1u);
 }
 
 TEST(EvictionPolicies, ShiftAwarePrefersVictimsWithoutPendingUses) {
-  const auto policy = cache::EvictionPolicyRegistry::Global().Create(
-      "cache-shift-aware", 0);
+  const auto policy = CreatePolicy("cache-shift-aware");
   ASSERT_NE(policy, nullptr);
   const auto frames = OccupiedFrames({3, 4, 5, 6}, {1, 1, 1, 1});
-  const std::vector<std::uint32_t> candidates = {0, 1, 2, 3};
   // The LRU victim (frame 0) still has window uses pending; frame 2 is
   // done for the window and should be preferred despite being younger.
   const std::vector<std::uint64_t> pending = {5, 2, 0, 1};
-  EXPECT_EQ(policy->PickVictim(MakeContext(candidates, frames, pending, 10)),
-            2u);
+  ContextStorage storage;
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage)), 2u);
+}
+
+TEST(EvictionPolicies, ShiftAwareShortlistStaysInScope) {
+  const auto policy = CreatePolicy("cache-shift-aware");
+  ASSERT_NE(policy, nullptr);
+  // Owner 1 holds the 8 least recently used frames (0-7), which fill an
+  // unscoped shortlist; owner 0 holds only the two newest (8, 9).
+  const std::vector<std::uint64_t> last_uses = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const std::vector<std::uint64_t> uses(10, 1);
+  const std::vector<std::uint32_t> owners = {1, 1, 1, 1, 1, 1, 1, 1, 0, 0};
+  const auto frames = OccupiedFrames(last_uses, uses, owners);
+  const std::vector<std::uint64_t> pending = {1, 0, 0, 0, 0, 0, 0, 0, 3, 0};
+  ContextStorage storage;
+  // Unscoped: frame 0 has a pending use, so the next-coldest frame wins.
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage)), 1u);
+  // Scoped to owner 0: the shortlist is {8, 9}, and 9 has no pending use.
+  EXPECT_EQ(policy->PickVictim(MakeContext(frames, pending, storage, 0)), 9u);
 }
 
 TEST(CacheValidation, RejectsBadConfigurations) {
@@ -344,6 +414,38 @@ TEST(CacheEvents, OwnerQuotaScopesEvictionToTheOwnersFrames) {
 
   EXPECT_EQ(run(/*quota=*/0), 2u);  // unscoped: b0, the true LRU victim
   EXPECT_EQ(run(/*quota=*/2), 0u);  // scoped: a0, owner 0's own LRU
+}
+
+// A free admission after accesses have started joins the end of the
+// never-touched (cold) segment of the recency list, ahead of every
+// touched frame — also right after the cold segment's last frame was
+// touched while it was the list tail.
+TEST(CacheEvents, LateAdmissionJoinsTheColdSegment) {
+  const rtm::RtmConfig device = rtm::RtmConfig::Paper(4);
+  cache::CacheConfig config;
+  config.capacity_slots = 3;
+  config.eviction = "cache-lru";
+  config.record_events = true;
+  config.engine.reseed_strategy = "dma-sr";
+  config.engine.window_accesses = 1;  // resolve every access at once
+  config.engine.detector.kind = online::DetectorKind::kNone;
+
+  cache::CacheEngine engine(config, device);
+  ASSERT_EQ(engine.RegisterVariable("a"), 0u);
+  ASSERT_EQ(engine.RegisterVariable("b"), 1u);
+  engine.Feed(1u, trace::AccessType::kRead);    // touches the cold tail b
+  ASSERT_EQ(engine.RegisterVariable("c"), 2u);  // late: frame 2, cold
+  EXPECT_EQ(engine.resident(), 3u);
+  engine.Feed("d", trace::AccessType::kRead);  // miss: evicts a (frame 0)
+  engine.Feed("a", trace::AccessType::kRead);  // miss: evicts c, not b
+  const cache::CacheResult result = engine.Finish();
+
+  ASSERT_EQ(result.events.size(), 3u);
+  EXPECT_EQ(result.events[1].kind, cache::CacheEvent::Kind::kMiss);
+  EXPECT_EQ(result.events[1].evicted, 0u);
+  EXPECT_EQ(result.events[2].kind, cache::CacheEvent::Kind::kMiss);
+  EXPECT_EQ(result.events[2].evicted, 2u);
+  EXPECT_EQ(result.events[2].frame, 2u);
 }
 
 // The registry exposes the built-ins and arbitration catches collisions.

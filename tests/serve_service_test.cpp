@@ -27,6 +27,7 @@
 #include "trace/access_sequence.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/strings.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -543,7 +544,7 @@ TEST(TenantAssignment, RoundRobinCyclesTheShards) {
       CompactSequence("abab"), CompactSequence("cdcd"),
       CompactSequence("efef"), CompactSequence("ghgh")};
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    (void)service.OpenSession("t" + std::to_string(i), seqs[i]);
+    (void)service.OpenSession(util::Concat({"t", std::to_string(i)}), seqs[i]);
   }
   const serve::ServeResult result = service.Run();
   ASSERT_EQ(result.tenants.size(), 4u);
@@ -567,7 +568,7 @@ TEST(TenantAssignment, LeastLoadedBalancesTransitionWeight) {
       CompactSequence("ef"), CompactSequence("ghghghgh"),
       CompactSequence("ijij")};
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    (void)service.OpenSession("t" + std::to_string(i), seqs[i]);
+    (void)service.OpenSession(util::Concat({"t", std::to_string(i)}), seqs[i]);
   }
   const serve::ServeResult result = service.Run();
   ASSERT_EQ(result.tenants.size(), 5u);
