@@ -1,12 +1,40 @@
 #include "core/inter_dma.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/inter_afd.h"
 #include "trace/liveliness.h"
 
 namespace rtmp::core {
+
+namespace {
+
+/// Fenwick tree of access frequencies indexed by last-occurrence rank.
+class FrequencyTree {
+ public:
+  explicit FrequencyTree(std::size_t ranks) : tree_(ranks + 1, 0) {}
+
+  void Add(std::size_t rank, std::uint64_t frequency) {
+    for (std::size_t i = rank + 1; i < tree_.size(); i += i & (~i + 1)) {
+      tree_[i] += frequency;
+    }
+  }
+
+  /// Sum over ranks [0, rank).
+  [[nodiscard]] std::uint64_t SumBelow(std::size_t rank) const {
+    std::uint64_t sum = 0;
+    for (std::size_t i = rank; i > 0; i &= i - 1) sum += tree_[i];
+    return sum;
+  }
+
+ private:
+  std::vector<std::uint64_t> tree_;
+};
+
+}  // namespace
 
 std::vector<VariableId> SelectDisjointVariables(
     std::span<const trace::VariableStats> stats) {
@@ -22,30 +50,72 @@ std::vector<VariableId> SelectDisjointVariables(
               return stats[a].first < stats[b].first;
             });
 
-  std::vector<bool> selected(stats.size(), false);
+  // Line 10's right-hand side for every candidate in one sweep: nested[i]
+  // sums frequency[u] over all u with F_v < F_u and L_u < L_v, where
+  // v = by_first[i]. Candidates are swept in descending first occurrence
+  // into a Fenwick tree over the ranks of their last occurrences, so the
+  // tree holds exactly the later-starting variables when v is queried.
+  // An equal-first group is queried before any member is inserted (only
+  // hand-built stats repeat `first`); equal lasts share a rank, so the
+  // strict prefix query excludes them.
+  const std::size_t m = by_first.size();
+  std::vector<std::size_t> lasts;
+  lasts.reserve(m);
+  for (const VariableId v : by_first) lasts.push_back(stats[v].last);
+  std::sort(lasts.begin(), lasts.end());
+  lasts.erase(std::unique(lasts.begin(), lasts.end()), lasts.end());
+  std::vector<std::size_t> rank(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    rank[i] = static_cast<std::size_t>(
+        std::lower_bound(lasts.begin(), lasts.end(), stats[by_first[i]].last) -
+        lasts.begin());
+  }
+  FrequencyTree tree(lasts.size());
+  std::vector<std::uint64_t> nested(m, 0);
+  for (std::size_t end = m; end > 0;) {
+    std::size_t begin = end - 1;
+    while (begin > 0 &&
+           stats[by_first[begin - 1]].first == stats[by_first[begin]].first) {
+      --begin;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      nested[i] = tree.SumBelow(rank[i]);
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      tree.Add(rank[i], stats[by_first[i]].frequency);
+    }
+    end = begin;
+  }
+
   std::vector<VariableId> disjoint;
+#ifndef NDEBUG
+  // Debug cross-check: every swept sum the loop reads equals line 10's
+  // scan over the current Vndj (every variable not yet selected).
+  std::vector<VariableId> unselected(stats.size());
+  std::iota(unselected.begin(), unselected.end(), VariableId{0});
+#endif
   // tmin is the last occurrence of the most recently selected variable;
   // -1 admits the earliest candidate (the paper's 1-based pseudo-code uses
   // tmin = 0 for the same purpose).
   std::int64_t tmin = -1;
-  for (const VariableId v : by_first) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const VariableId v = by_first[i];
     const trace::VariableStats& sv = stats[v];
     if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
     // Line 10: accept v only if its own accesses outweigh everything whose
     // lifespan nests strictly inside v's (those variables become expensive
-    // neighbors if v monopolizes a disjoint slot). The sum ranges over the
-    // current Vndj, i.e. skips already-selected variables.
-    std::uint64_t nested = 0;
-    for (VariableId u = 0; u < stats.size(); ++u) {
-      if (u == v || selected[u]) continue;
-      if (trace::LifespanNestedWithin(stats[u], sv)) {
-        nested += stats[u].frequency;
-      }
-    }
-    if (sv.frequency > nested) {
-      selected[v] = true;
+    // neighbors if v monopolizes a disjoint slot). The paper sums over the
+    // current Vndj; nested[i] sums over every variable, which is the same
+    // sum: a selected u has L_u <= tmin < F_v, so it never nests inside v.
+#ifndef NDEBUG
+    assert(nested[i] == trace::SumNestedFrequency(stats, sv, unselected));
+#endif
+    if (sv.frequency > nested[i]) {
       disjoint.push_back(v);
       tmin = static_cast<std::int64_t>(sv.last);
+#ifndef NDEBUG
+      std::erase(unselected, v);
+#endif
     }
   }
   return disjoint;
@@ -154,9 +224,7 @@ DmaResult DistributeDma(const trace::AccessSequence& seq,
   // Lines 22-23: intra-DBC optimization on the non-disjoint DBCs only.
   // With a single DBC the disjoint prefix must keep its order: skip.
   if (num_dbcs > 1 || disjoint.empty()) {
-    for (std::uint32_t d = k; d < num_dbcs; ++d) {
-      ApplyIntra(options.intra, seq, placement, d);
-    }
+    ApplyIntra(options.intra, seq, placement, k, num_dbcs);
   }
 
   DmaResult result{std::move(placement), std::move(disjoint), k};

@@ -426,13 +426,47 @@ std::vector<VariableId> OrderVariables(IntraHeuristic heuristic,
 }
 
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
-                Placement& placement, std::uint32_t dbc) {
+                Placement& placement, std::uint32_t first, std::uint32_t end) {
+  if (first > end || end > placement.num_dbcs()) {
+    throw std::out_of_range("ApplyIntra: DBC range out of bounds");
+  }
   if (heuristic == IntraHeuristic::kNone) return;
-  const auto& vars = placement.dbc(dbc);
-  if (vars.size() < 2) return;
-  const std::vector<trace::Access> restricted = seq.Restrict(vars);
-  placement.Reorder(dbc, OrderVariables(heuristic, restricted, vars,
+
+  // Counting sort of the accesses by DBC: bucket b holds, in sequence
+  // order, the accesses of DBC first + b — exactly Restrict() of its
+  // variable list. Reordering one DBC never changes another's members,
+  // so the buckets stay valid while the loop below rewrites the range.
+  constexpr std::uint32_t kOutside = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> bucket_of(
+      std::max(seq.num_variables(), placement.num_variables()), kOutside);
+  for (std::uint32_t d = first; d < end; ++d) {
+    for (const VariableId v : placement.dbc(d)) bucket_of[v] = d - first;
+  }
+  std::vector<std::size_t> bucket_begin(end - first + 1, 0);
+  for (const trace::Access& a : seq.accesses()) {
+    const std::uint32_t b = bucket_of[a.variable];
+    if (b != kOutside) ++bucket_begin[b + 1];
+  }
+  for (std::size_t b = 1; b < bucket_begin.size(); ++b) {
+    bucket_begin[b] += bucket_begin[b - 1];
+  }
+  std::vector<trace::Access> bucketed(bucket_begin.back());
+  std::vector<std::size_t> fill(bucket_begin.begin(), bucket_begin.end() - 1);
+  for (const trace::Access& a : seq.accesses()) {
+    const std::uint32_t b = bucket_of[a.variable];
+    if (b != kOutside) bucketed[fill[b]++] = a;
+  }
+
+  const std::span<const trace::Access> all(bucketed);
+  for (std::uint32_t d = first; d < end; ++d) {
+    const auto& vars = placement.dbc(d);
+    if (vars.size() < 2) continue;
+    const std::size_t b = d - first;
+    const std::span<const trace::Access> accesses =
+        all.subspan(bucket_begin[b], bucket_begin[b + 1] - bucket_begin[b]);
+    placement.Reorder(d, OrderVariables(heuristic, accesses, vars,
                                         seq.num_variables()));
+  }
 }
 
 }  // namespace rtmp::core

@@ -48,9 +48,14 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
     IntraHeuristic heuristic, std::span<const trace::Access> accesses,
     std::span<const VariableId> vars, std::size_t num_variables);
 
-/// Reorders DBC `dbc` of `placement` in place using `heuristic`, driven by
-/// the accesses of `seq` that fall into that DBC.
+/// Reorders every DBC in the range [first, end) of `placement` in place
+/// using `heuristic`. Each DBC is ordered by OrderVariables on its own
+/// accesses, i.e. on exactly `seq.Restrict(placement.dbc(d))`; DBCs with
+/// fewer than two variables are left alone. One pass over `seq` buckets
+/// the accesses of every DBC in the range, so a call costs
+/// O(|seq| + variables) plus the per-DBC heuristic work, however wide the
+/// range. Throws std::out_of_range unless first <= end <= num_dbcs.
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
-                Placement& placement, std::uint32_t dbc);
+                Placement& placement, std::uint32_t first, std::uint32_t end);
 
 }  // namespace rtmp::core

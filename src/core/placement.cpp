@@ -1,7 +1,7 @@
 #include "core/placement.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace rtmp::core {
 
@@ -132,12 +132,20 @@ void Placement::Reorder(std::uint32_t dbc, std::vector<VariableId> order) {
   if (order.size() != list.size()) {
     throw std::invalid_argument("Placement: reorder size mismatch");
   }
-  auto sorted_old = list;
-  auto sorted_new = order;
-  std::sort(sorted_old.begin(), sorted_old.end());
-  std::sort(sorted_new.begin(), sorted_new.end());
-  if (sorted_old != sorted_new) {
-    throw std::invalid_argument("Placement: reorder is not a permutation");
+  // O(k) permutation check: every entry must be a variable placed in this
+  // DBC whose old offset no earlier entry claimed. Claims are marked in
+  // `list` itself (it is replaced on success) and rolled back on failure.
+  constexpr VariableId kClaimed = std::numeric_limits<VariableId>::max();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const VariableId v = order[i];
+    if (v >= slots_.size() || slots_[v].dbc != dbc ||
+        list[slots_[v].offset] != v) {
+      for (std::size_t j = 0; j < i; ++j) {
+        list[slots_[order[j]].offset] = order[j];
+      }
+      throw std::invalid_argument("Placement: reorder is not a permutation");
+    }
+    list[slots_[v].offset] = kClaimed;
   }
   list = std::move(order);
   ReindexFrom(dbc, 0);

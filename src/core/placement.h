@@ -101,7 +101,8 @@ class Placement {
 
   /// Replaces DBC `dbc`'s order; `order` must be a permutation of the
   /// current content (the GA "permute" mutation applies this with a random
-  /// permutation).
+  /// permutation). Otherwise throws std::invalid_argument and leaves the
+  /// placement unchanged. The check is O(|order|) and allocation-free.
   void Reorder(std::uint32_t dbc, std::vector<VariableId> order);
 
   friend bool operator==(const Placement& a, const Placement& b) {

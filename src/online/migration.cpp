@@ -29,30 +29,29 @@ MigrationPlan PlanMigration(const core::Placement& from,
     throw std::invalid_argument(
         "PlanMigration: placements cover different variable spaces");
   }
+  // Every variable placed in `from` must be placed in `to`; equal placed
+  // counts then make the two placed sets identical.
+  constexpr const char* kPlacedInOne =
+      "PlanMigration: variable placed in only one placement";
+  if (from.placed_count() != to.placed_count()) {
+    throw std::invalid_argument(kPlacedInOne);
+  }
   MigrationPlan plan;
-  for (trace::VariableId v = 0; v < from.num_variables(); ++v) {
-    const bool placed_from = from.IsPlaced(v);
-    if (placed_from != to.IsPlaced(v)) {
-      throw std::invalid_argument(
-          "PlanMigration: variable placed in only one placement");
+  // Reads sweep each source DBC in ascending old-offset order. Each
+  // (dbc, offset) holds exactly one variable, so walking `from` slot by
+  // slot yields the moves already in (from.dbc, from.offset) order.
+  for (std::uint32_t d = 0; d < from.num_dbcs(); ++d) {
+    const auto& list = from.dbc(d);
+    for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
+      const trace::VariableId v = list[offset];
+      if (!to.IsPlaced(v)) throw std::invalid_argument(kPlacedInOne);
+      const core::Slot old_slot{d, offset};
+      const core::Slot new_slot = to.SlotOf(v);
+      if (old_slot != new_slot) plan.moves.push_back({v, old_slot, new_slot});
     }
-    if (!placed_from) continue;
-    const core::Slot old_slot = from.SlotOf(v);
-    const core::Slot new_slot = to.SlotOf(v);
-    if (old_slot == new_slot) continue;
-    plan.moves.push_back({v, old_slot, new_slot});
   }
   if (plan.moves.empty()) return plan;
 
-  // Reads sweep each source DBC in ascending old-offset order ...
-  std::sort(plan.moves.begin(), plan.moves.end(),
-            [](const MigrationMove& a, const MigrationMove& b) {
-              if (a.from.dbc != b.from.dbc) return a.from.dbc < b.from.dbc;
-              if (a.from.offset != b.from.offset) {
-                return a.from.offset < b.from.offset;
-              }
-              return a.variable < b.variable;
-            });
   std::vector<core::Slot> slots;
   slots.reserve(plan.moves.size());
   for (const MigrationMove& move : plan.moves) slots.push_back(move.from);
@@ -60,14 +59,17 @@ MigrationPlan PlanMigration(const core::Placement& from,
   plan.estimated_shifts +=
       AppendSweepRequests(slots, trace::AccessType::kRead, plan.requests);
 
-  // ... then the buffered words are written in target-DBC sweeps.
+  // ... then the buffered words are written in target-DBC sweeps: walking
+  // `to` the same way yields the moved variables' new slots in
+  // (dbc, offset) order.
   slots.clear();
-  for (const MigrationMove& move : plan.moves) slots.push_back(move.to);
-  std::sort(slots.begin(), slots.end(),
-            [](const core::Slot& a, const core::Slot& b) {
-              if (a.dbc != b.dbc) return a.dbc < b.dbc;
-              return a.offset < b.offset;
-            });
+  for (std::uint32_t d = 0; d < to.num_dbcs(); ++d) {
+    const auto& list = to.dbc(d);
+    for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
+      const core::Slot new_slot{d, offset};
+      if (from.SlotOf(list[offset]) != new_slot) slots.push_back(new_slot);
+    }
+  }
   plan.estimated_shifts +=
       AppendSweepRequests(slots, trace::AccessType::kWrite, plan.requests);
   return plan;

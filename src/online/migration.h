@@ -12,6 +12,12 @@
 // analytic shift estimate the engine's accept decision can weigh against
 // the projected window savings before committing.
 //
+// Planning sorts nothing. Each (DBC, offset) holds exactly one variable,
+// so walking `from` DBC by DBC and offset by offset, keeping the variables
+// whose slot changed, yields the moves in read-sweep order; walking `to`
+// the same way yields the write slots in write-sweep order. A plan costs
+// O(placed variables), with no comparison sort.
+//
 // The estimate prices each per-DBC sweep with the paper's
 // first-access-free convention (distance between consecutive sorted
 // offsets); the true charge additionally depends on where each track

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -130,7 +131,9 @@ double SearchEffortFromEnv(double fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  if (end == raw || value <= 0.0) return fallback;
+  // NaN fails every comparison, so test finiteness explicitly: "nan",
+  // "inf" and out-of-range "1e999" are invalid, not efforts.
+  if (end == raw || !std::isfinite(value) || value <= 0.0) return fallback;
   return value;
 }
 

@@ -122,6 +122,12 @@ TEST(Experiment, SearchEffortFromEnvParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
   ::setenv("RTMPLACE_EFFORT", "-1", 1);
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
+  // Non-finite values are invalid too: NaN used to reach the GA's
+  // population sizing, and inf serialized as "search_effort": null.
+  for (const char* raw : {"nan", "inf", "-inf", "1e999"}) {
+    ::setenv("RTMPLACE_EFFORT", raw, 1);
+    EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << raw;
+  }
   ::unsetenv("RTMPLACE_EFFORT");
 }
 

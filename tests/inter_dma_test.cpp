@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
+
 #include "core/cost_model.h"
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
 #include "trace/access_sequence.h"
+#include "trace/generators.h"
 #include "trace/liveliness.h"
 #include "trace/variable_stats.h"
+#include "util/rng.h"
 
 namespace rtmp::core {
 namespace {
@@ -84,6 +92,102 @@ TEST(DmaSelection, IgnoresAbsentVariables) {
   seq.Append(1);
   const auto disjoint = SelectDisjointVariables(StatsOf(seq));
   EXPECT_EQ(disjoint, (std::vector<trace::VariableId>{1}));
+}
+
+// Algorithm 1 lines 5-12 as first implemented: for every candidate, scan
+// all unselected variables for lifespans nested inside it (O(m * n)).
+// Kept here as the reference the swept nested sums must reproduce.
+std::vector<VariableId> ScanningSelectDisjoint(
+    std::span<const trace::VariableStats> stats) {
+  std::vector<VariableId> by_first;
+  for (VariableId v = 0; v < stats.size(); ++v) {
+    if (stats[v].first != trace::kNever) by_first.push_back(v);
+  }
+  std::sort(by_first.begin(), by_first.end(),
+            [&stats](VariableId a, VariableId b) {
+              return stats[a].first < stats[b].first;
+            });
+  std::vector<VariableId> unselected(stats.size());
+  std::iota(unselected.begin(), unselected.end(), VariableId{0});
+  std::vector<VariableId> disjoint;
+  std::int64_t tmin = -1;
+  for (const VariableId v : by_first) {
+    const trace::VariableStats& sv = stats[v];
+    if (static_cast<std::int64_t>(sv.first) <= tmin) continue;
+    if (sv.frequency > trace::SumNestedFrequency(stats, sv, unselected)) {
+      disjoint.push_back(v);
+      std::erase(unselected, v);
+      tmin = static_cast<std::int64_t>(sv.last);
+    }
+  }
+  return disjoint;
+}
+
+/// A small sequence drawn from one of the synthetic families.
+AccessSequence RandomSequence(util::Rng& rng) {
+  switch (rng.NextBelow(5)) {
+    case 0: {
+      trace::PhasedParams params;
+      params.num_phases = 2 + rng.NextBelow(5);
+      params.vars_per_phase = 2 + rng.NextBelow(8);
+      params.accesses_per_phase = 8 + rng.NextBelow(60);
+      return trace::GeneratePhased(params, rng);
+    }
+    case 1: {
+      trace::SequentialParams params;
+      params.num_vars = 8 + rng.NextBelow(40);
+      params.length = 32 + rng.NextBelow(300);
+      return trace::GenerateSequential(params, rng);
+    }
+    case 2: {
+      trace::MarkovParams params;
+      params.num_vars = 4 + rng.NextBelow(40);
+      params.length = 16 + rng.NextBelow(300);
+      return trace::GenerateMarkov(params, rng);
+    }
+    case 3: {
+      trace::ZipfParams params;
+      params.num_vars = 4 + rng.NextBelow(40);
+      params.length = 16 + rng.NextBelow(300);
+      return trace::GenerateZipf(params, rng);
+    }
+    default: {
+      trace::LoopNestParams params;
+      params.num_arrays = 1 + rng.NextBelow(3);
+      params.array_len = 2 + rng.NextBelow(8);
+      params.iterations = 1 + rng.NextBelow(4);
+      params.num_kernels = 1 + rng.NextBelow(3);
+      return trace::GenerateLoopNest(params, rng);
+    }
+  }
+}
+
+TEST(DmaSelection, SweepMatchesScanningReferenceOnRandomSequences) {
+  util::Rng rng(0xD3A5EEDULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    const AccessSequence seq = RandomSequence(rng);
+    const auto stats = StatsOf(seq);
+    EXPECT_EQ(SelectDisjointVariables(stats), ScanningSelectDisjoint(stats))
+        << "trial " << trial;
+  }
+}
+
+TEST(DmaSelection, SweepMatchesScanningReferenceOnHandBuiltStats) {
+  // Narrow position ranges force repeated `first` and `last` values;
+  // about one variable in five is absent.
+  util::Rng rng(0x57A75ULL);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<trace::VariableStats> stats(rng.NextBelow(40));
+    const std::size_t span = 1 + rng.NextBelow(16);
+    for (trace::VariableStats& s : stats) {
+      if (rng.NextBool(0.2)) continue;  // absent: the default kNever stats
+      s.first = rng.NextBelow(span);
+      s.last = s.first + rng.NextBelow(span);
+      s.frequency = 1 + rng.NextBelow(8);
+    }
+    EXPECT_EQ(SelectDisjointVariables(stats), ScanningSelectDisjoint(stats))
+        << "trial " << trial;
+  }
 }
 
 TEST(DmaDistribute, DisjointSetKeepsAccessOrderInLeadDbc) {

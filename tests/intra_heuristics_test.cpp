@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/intra_heuristics.h"
 #include "core/placement.h"
 #include "trace/access_sequence.h"
+#include "trace/generators.h"
+#include "util/rng.h"
 
 namespace rtmp::core {
 namespace {
@@ -210,7 +215,7 @@ TEST(IntraHeuristics, ApplyIntraReordersPlacementInPlace) {
   const auto seq = AccessSequence::FromCompactString("abab" "cd");
   Placement p = Placement::FromLists({{3, 0, 2, 1}}, 4);
   const auto before = ShiftCost(seq, p);
-  ApplyIntra(IntraHeuristic::kShiftsReduce, seq, p, 0);
+  ApplyIntra(IntraHeuristic::kShiftsReduce, seq, p, 0, 1);
   p.CheckInvariants();
   EXPECT_LE(ShiftCost(seq, p), before);
 }
@@ -218,8 +223,77 @@ TEST(IntraHeuristics, ApplyIntraReordersPlacementInPlace) {
 TEST(IntraHeuristics, ApplyIntraSkipsTinyDbcs) {
   const auto seq = AccessSequence::FromCompactString("ab");
   Placement p = Placement::FromLists({{0}, {1}}, 2);
-  ApplyIntra(IntraHeuristic::kChen, seq, p, 0);  // no-op, must not throw
+  ApplyIntra(IntraHeuristic::kChen, seq, p, 0, 2);  // no-op, must not throw
   p.CheckInvariants();
+}
+
+TEST(IntraHeuristics, ApplyIntraRejectsBadRanges) {
+  const auto seq = AccessSequence::FromCompactString("abab");
+  Placement p = Placement::FromLists({{0}, {1}}, 2);
+  EXPECT_THROW(ApplyIntra(IntraHeuristic::kOfu, seq, p, 1, 0),
+               std::out_of_range);
+  EXPECT_THROW(ApplyIntra(IntraHeuristic::kOfu, seq, p, 0, 3),
+               std::out_of_range);
+  ApplyIntra(IntraHeuristic::kOfu, seq, p, 2, 2);  // empty range: no-op
+  p.CheckInvariants();
+}
+
+// ApplyIntra as first implemented: one DBC per call, each driven by its
+// own Restrict() copy of the sequence. Kept here as the reference the
+// bucketed range pass must reproduce.
+void RestrictingApplyIntra(IntraHeuristic heuristic, const AccessSequence& seq,
+                           Placement& placement, std::uint32_t dbc) {
+  if (heuristic == IntraHeuristic::kNone) return;
+  const auto& vars = placement.dbc(dbc);
+  if (vars.size() < 2) return;
+  const std::vector<trace::Access> restricted = seq.Restrict(vars);
+  placement.Reorder(dbc, OrderVariables(heuristic, restricted, vars,
+                                        seq.num_variables()));
+}
+
+TEST(IntraHeuristics, RangeApplyMatchesPerDbcRestrictReference) {
+  util::Rng rng(0x1A7EA5EEDULL);
+  const IntraHeuristic heuristics[] = {
+      IntraHeuristic::kNone, IntraHeuristic::kOfu, IntraHeuristic::kChen,
+      IntraHeuristic::kShiftsReduce, IntraHeuristic::kGreedyEdge};
+  for (int trial = 0; trial < 200; ++trial) {
+    AccessSequence seq;
+    if (trial % 2 == 0) {
+      trace::MarkovParams params;
+      params.num_vars = 2 + rng.NextBelow(40);
+      params.length = 1 + rng.NextBelow(300);
+      seq = trace::GenerateMarkov(params, rng);
+    } else {
+      trace::PhasedParams params;
+      params.num_phases = 1 + rng.NextBelow(5);
+      params.vars_per_phase = 1 + rng.NextBelow(8);
+      params.accesses_per_phase = 1 + rng.NextBelow(60);
+      seq = trace::GeneratePhased(params, rng);
+    }
+    // A random, partly filled placement: about one variable in eight
+    // stays unplaced.
+    const auto num_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(8));
+    Placement base(seq.num_variables(), num_dbcs);
+    for (VariableId v = 0; v < seq.num_variables(); ++v) {
+      if (rng.NextBool(0.875)) {
+        base.Append(static_cast<std::uint32_t>(rng.NextBelow(num_dbcs)), v);
+      }
+    }
+    const auto first = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
+    const auto end = static_cast<std::uint32_t>(
+        first + 1 + rng.NextBelow(num_dbcs - first));
+    for (const IntraHeuristic heuristic : heuristics) {
+      Placement got = base;
+      ApplyIntra(heuristic, seq, got, first, end);
+      Placement want = base;
+      for (std::uint32_t d = first; d < end; ++d) {
+        RestrictingApplyIntra(heuristic, seq, want, d);
+      }
+      EXPECT_EQ(got, want) << "trial " << trial << " heuristic "
+                           << ToString(heuristic);
+      got.CheckInvariants();
+    }
+  }
 }
 
 TEST(IntraHeuristics, ToStringNames) {

@@ -11,6 +11,7 @@
 //    driven through a fresh controller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/trace_io.h"
+#include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -447,6 +449,120 @@ TEST(MigrationPlanner, RejectsMismatchedVariableSpaces) {
   // Same space, but a variable placed on one side only.
   core::Placement c = core::Placement::FromLists({{0}}, 2);
   EXPECT_THROW((void)online::PlanMigration(a, c), std::invalid_argument);
+}
+
+// The planner as it was before it walked the placements: collect the moves
+// in variable-id order, then comparison-sort the reads by
+// (from.dbc, from.offset, variable) and the write slots by (dbc, offset).
+// Kept here as the reference the walk must reproduce exactly.
+online::MigrationPlan SortingPlanMigration(const core::Placement& from,
+                                           const core::Placement& to) {
+  online::MigrationPlan plan;
+  for (trace::VariableId v = 0; v < from.num_variables(); ++v) {
+    if (!from.IsPlaced(v)) continue;
+    const core::Slot old_slot = from.SlotOf(v);
+    const core::Slot new_slot = to.SlotOf(v);
+    if (old_slot == new_slot) continue;
+    plan.moves.push_back({v, old_slot, new_slot});
+  }
+  if (plan.moves.empty()) return plan;
+  std::sort(plan.moves.begin(), plan.moves.end(),
+            [](const online::MigrationMove& a, const online::MigrationMove& b) {
+              if (a.from.dbc != b.from.dbc) return a.from.dbc < b.from.dbc;
+              if (a.from.offset != b.from.offset) {
+                return a.from.offset < b.from.offset;
+              }
+              return a.variable < b.variable;
+            });
+  std::vector<core::Slot> slots;
+  for (const online::MigrationMove& move : plan.moves) {
+    slots.push_back(move.from);
+  }
+  plan.estimated_shifts += online::AppendSweepRequests(
+      slots, trace::AccessType::kRead, plan.requests);
+  slots.clear();
+  for (const online::MigrationMove& move : plan.moves) {
+    slots.push_back(move.to);
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const core::Slot& a, const core::Slot& b) {
+              if (a.dbc != b.dbc) return a.dbc < b.dbc;
+              return a.offset < b.offset;
+            });
+  plan.estimated_shifts += online::AppendSweepRequests(
+      slots, trace::AccessType::kWrite, plan.requests);
+  return plan;
+}
+
+/// Deals `placed` (in its given order) into random DBCs with room left.
+core::Placement RandomPlacement(std::span<const trace::VariableId> placed,
+                                std::size_t num_variables,
+                                std::uint32_t num_dbcs,
+                                std::uint32_t capacity, util::Rng& rng) {
+  core::Placement placement(num_variables, num_dbcs, capacity);
+  for (const trace::VariableId v : placed) {
+    auto d = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
+    while (placement.FreeIn(d) == 0) d = (d + 1) % num_dbcs;
+    placement.Append(d, v);
+  }
+  return placement;
+}
+
+TEST(MigrationPlanner, WalkMatchesSortingReferenceOnRandomPairs) {
+  util::Rng rng(0x5EED1234ULL);
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto num_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(16));
+    const std::size_t n = rng.NextBelow(80);
+    // Partly filled: only a random subset of the space is placed, the
+    // same subset on both sides.
+    std::vector<trace::VariableId> placed;
+    const double placed_share = trial % 3 == 0 ? 1.0 : rng.NextDouble();
+    for (trace::VariableId v = 0; v < n; ++v) {
+      if (rng.NextBool(placed_share)) placed.push_back(v);
+    }
+    std::uint32_t capacity = core::kUnboundedCapacity;
+    if (trial % 2 == 0) {
+      capacity = static_cast<std::uint32_t>(
+          (placed.size() + num_dbcs - 1) / num_dbcs + rng.NextBelow(3));
+      capacity = std::max<std::uint32_t>(capacity, 1);
+    }
+    std::shuffle(placed.begin(), placed.end(), rng);
+    const core::Placement from =
+        RandomPlacement(placed, n, num_dbcs, capacity, rng);
+    core::Placement to = from;
+    switch (trial % 4) {
+      case 0:  // identical pair
+        break;
+      case 1:  // a few relocations
+        for (std::size_t i = 0; i < 3 && !placed.empty(); ++i) {
+          const trace::VariableId v = placed[rng.NextBelow(placed.size())];
+          const auto d = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
+          if (d == to.SlotOf(v).dbc || to.FreeIn(d) > 0) to.MoveToEnd(v, d);
+        }
+        break;
+      default:  // an unrelated placement of the same variables
+        std::shuffle(placed.begin(), placed.end(), rng);
+        to = RandomPlacement(placed, n, num_dbcs, capacity, rng);
+        break;
+    }
+    const online::MigrationPlan got = online::PlanMigration(from, to);
+    const online::MigrationPlan want = SortingPlanMigration(from, to);
+    ASSERT_EQ(got.moves.size(), want.moves.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.moves.size(); ++i) {
+      EXPECT_EQ(got.moves[i].variable, want.moves[i].variable);
+      EXPECT_EQ(got.moves[i].from, want.moves[i].from);
+      EXPECT_EQ(got.moves[i].to, want.moves[i].to);
+    }
+    ASSERT_EQ(got.requests.size(), want.requests.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.requests.size(); ++i) {
+      EXPECT_EQ(got.requests[i].arrival_ns, want.requests[i].arrival_ns);
+      EXPECT_EQ(got.requests[i].dbc, want.requests[i].dbc);
+      EXPECT_EQ(got.requests[i].domain, want.requests[i].domain);
+      EXPECT_EQ(got.requests[i].type, want.requests[i].type);
+    }
+    EXPECT_EQ(got.estimated_shifts, want.estimated_shifts)
+        << "trial " << trial;
+  }
 }
 
 // ---- policy registry -----------------------------------------------------

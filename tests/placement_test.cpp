@@ -111,6 +111,27 @@ TEST(Placement, ReorderRequiresPermutation) {
   EXPECT_THROW(p.Reorder(0, {0, 1, 1}), std::invalid_argument);
 }
 
+TEST(Placement, ReorderRejectsForeignUnplacedAndOutOfRangeEntries) {
+  // DBC 0 holds {0, 1, 2}, DBC 1 holds {3}; variable 4 is unplaced.
+  Placement p(5, 2);
+  for (VariableId v = 0; v < 3; ++v) p.Append(0, v);
+  p.Append(1, 3);
+  const Placement before = p;
+  // Each list has the right size; one entry is not a variable of DBC 0.
+  EXPECT_THROW(p.Reorder(0, {0, 3, 2}), std::invalid_argument);  // DBC 1's
+  EXPECT_THROW(p.Reorder(0, {4, 1, 2}), std::invalid_argument);  // unplaced
+  EXPECT_THROW(p.Reorder(0, {0, 1, 9}), std::invalid_argument);  // no such id
+  EXPECT_THROW(p.Reorder(0, {2, 1, 2}), std::invalid_argument);  // duplicate
+  EXPECT_THROW(p.Reorder(1, {2}), std::invalid_argument);
+  // A rejected reorder leaves the placement untouched.
+  EXPECT_EQ(p, before);
+  for (VariableId v = 0; v < 4; ++v) EXPECT_EQ(p.SlotOf(v), before.SlotOf(v));
+  p.CheckInvariants();
+  p.Reorder(0, {1, 2, 0});
+  EXPECT_EQ(p.dbc(0), (std::vector<VariableId>{1, 2, 0}));
+  p.CheckInvariants();
+}
+
 TEST(Placement, FromListsBuildsAndValidates) {
   const Placement p =
       Placement::FromLists({{2, 0}, {1}}, /*num_variables=*/3);
