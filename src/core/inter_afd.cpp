@@ -1,7 +1,6 @@
 #include "core/inter_afd.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace rtmp::core {
@@ -9,15 +8,26 @@ namespace rtmp::core {
 std::vector<VariableId> SortByFrequencyDescending(
     std::span<const trace::VariableStats> stats,
     const trace::AccessSequence& seq) {
-  std::vector<VariableId> order(stats.size());
-  std::iota(order.begin(), order.end(), 0);
+  if (stats.size() != seq.num_variables()) {
+    throw std::invalid_argument(
+        "SortByFrequencyDescending: stats do not match the sequence");
+  }
+  // Walking the ids in name order makes every tie break by name already:
+  // the occurring variables need a stable sort on frequency alone, and
+  // the never-accessed ones (frequency 0, last) keep the walk order.
+  const std::span<const VariableId> by_name = seq.IdsByName();
+  std::vector<VariableId> order;
+  order.reserve(by_name.size());
+  for (const VariableId v : by_name) {
+    if (stats[v].frequency > 0) order.push_back(v);
+  }
   std::stable_sort(order.begin(), order.end(),
-                   [&stats, &seq](VariableId a, VariableId b) {
-                     if (stats[a].frequency != stats[b].frequency) {
-                       return stats[a].frequency > stats[b].frequency;
-                     }
-                     return seq.name_of(a) < seq.name_of(b);
+                   [&stats](VariableId a, VariableId b) {
+                     return stats[a].frequency > stats[b].frequency;
                    });
+  for (const VariableId v : by_name) {
+    if (stats[v].frequency == 0) order.push_back(v);
+  }
   return order;
 }
 

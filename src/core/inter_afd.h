@@ -24,7 +24,10 @@ struct AfdOptions {
 /// Variables sorted by descending frequency; ties are broken by ascending
 /// variable NAME, as in the paper's Fig. 3 deal (alphabetical: DBC0 =
 /// {a,g,b,d,h}). Name order matters: real benchmark identifiers are
-/// uncorrelated with access time, unlike generator ids.
+/// uncorrelated with access time, unlike generator ids. Costs
+/// O(|V| + m log m) for the m variables that occur, on top of
+/// seq.IdsByName(). Throws std::invalid_argument unless
+/// stats.size() == seq.num_variables().
 [[nodiscard]] std::vector<VariableId> SortByFrequencyDescending(
     std::span<const trace::VariableStats> stats,
     const trace::AccessSequence& seq);

@@ -186,7 +186,7 @@ DmaResult DistributeDma(const trace::AccessSequence& seq,
   }
 
   // Lines 18-21: remaining variables round-robin over DBCs [K, q) in
-  // descending frequency order (ties by ascending id, as in AFD).
+  // descending frequency order (ties by ascending name, as in AFD).
   std::vector<VariableId> leftovers;
   leftovers.reserve(leftover_count);
   for (const VariableId v : SortByFrequencyDescending(stats, seq)) {

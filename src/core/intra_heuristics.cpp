@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "trace/access_graph.h"
 
@@ -14,81 +16,134 @@ namespace {
 
 constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
 
+/// Global -> local map entries: not a member of the DBC being built, a
+/// member not accessed (yet), or else the member's local id.
+constexpr std::uint32_t kOutside = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kUnseen = kOutside - 1;
+
 /// Local view of one DBC's subproblem: dense local ids for the subset,
-/// frequencies and an adjacency structure from the restricted accesses.
+/// frequencies and a CSR adjacency structure from the restricted accesses.
+/// Every neighbour list is ordered by ascending neighbour id.
 struct LocalProblem {
   std::vector<VariableId> globals;              // local -> global id
   std::vector<std::uint64_t> frequency;         // by local id
-  std::vector<std::vector<trace::AccessGraph::Edge>> adjacency;  // local ids
+  std::vector<std::size_t> edge_begin;          // CSR offsets, size() + 1
+  std::vector<trace::AccessGraph::Edge> edges;  // local neighbour ids
   std::vector<VariableId> unused;               // subset vars never accessed
 
   [[nodiscard]] std::size_t size() const noexcept { return globals.size(); }
+
+  [[nodiscard]] std::span<const trace::AccessGraph::Edge> Neighbors(
+      std::size_t v) const noexcept {
+    return {edges.data() + edge_begin[v], edge_begin[v + 1] - edge_begin[v]};
+  }
 };
 
-LocalProblem BuildLocal(std::span<const trace::Access> accesses,
-                        std::span<const VariableId> vars,
-                        std::size_t num_variables) {
-  std::vector<std::size_t> to_local(num_variables, kNoIndex);
-  std::vector<bool> in_subset(num_variables, false);
-  for (const VariableId v : vars) in_subset.at(v) = true;
+/// Scratch for building the local problems of many DBCs in a row. The
+/// global -> local map is allocated once and every Build() resets only
+/// the entries of its own members, so a build costs
+/// O(|accesses| log |accesses| + |vars| log |vars|), independent of the
+/// size of the global variable space.
+class LocalWorkspace {
+ public:
+  /// `to_local` must hold kOutside in every entry; it has to cover every
+  /// id that Build() will see in `accesses` or `vars`.
+  explicit LocalWorkspace(std::vector<std::uint32_t> to_local)
+      : to_local_(std::move(to_local)) {}
 
-  LocalProblem local;
-  // Assign local ids by order of first access for determinism.
-  std::vector<trace::Access> restricted;
-  restricted.reserve(accesses.size());
-  for (const trace::Access& a : accesses) {
-    if (!in_subset[a.variable]) continue;
-    restricted.push_back(a);
-    if (to_local[a.variable] == kNoIndex) {
-      to_local[a.variable] = local.globals.size();
-      local.globals.push_back(a.variable);
+  /// Builds the local problem of `vars` over `accesses`, skipping accesses
+  /// to variables outside `vars`. Throws std::out_of_range for a member id
+  /// >= `num_variables`. The result stays valid until the next Build().
+  const LocalProblem& Build(std::span<const trace::Access> accesses,
+                            std::span<const VariableId> vars,
+                            std::size_t num_variables);
+
+ private:
+  std::vector<std::uint32_t> to_local_;
+  std::vector<std::uint64_t> transitions_;
+  std::vector<std::uint64_t> weights_;
+  std::vector<std::size_t> cursor_;
+  LocalProblem local_;
+};
+
+const LocalProblem& LocalWorkspace::Build(
+    std::span<const trace::Access> accesses, std::span<const VariableId> vars,
+    std::size_t num_variables) {
+  for (const VariableId v : vars) {
+    if (v >= num_variables) {
+      throw std::out_of_range("OrderVariables: variable id out of range");
     }
-  }
-  // Subset variables never accessed, ascending id.
-  std::vector<VariableId> unused(vars.begin(), vars.end());
-  std::sort(unused.begin(), unused.end());
-  for (const VariableId v : unused) {
-    if (to_local[v] == kNoIndex) local.unused.push_back(v);
+    to_local_[v] = kUnseen;
   }
 
-  const std::size_t n = local.globals.size();
-  local.frequency.assign(n, 0);
-  local.adjacency.assign(n, {});
-  // Packed (lo, hi) transition pairs, sorted then run-length counted:
-  // edge weights accumulate in key order, so adjacency construction is
+  LocalProblem& local = local_;
+  local.globals.clear();
+  local.frequency.clear();
+  local.unused.clear();
+  // Local ids by order of first access, for determinism. Transitions are
+  // packed (lo, hi) pairs, sorted then run-length counted below: edge
+  // weights accumulate in key order, so adjacency construction is
   // deterministic with no hash-ordered container in the path (the
   // adjacency lists feed heuristic tie-breaks and, through them, the
   // golden-checked reports).
-  std::vector<std::uint64_t> transitions;
-  transitions.reserve(restricted.size());
-  std::size_t prev = kNoIndex;
-  for (const trace::Access& a : restricted) {
-    const std::size_t cur = to_local[a.variable];
+  transitions_.clear();
+  std::uint32_t prev = kOutside;
+  for (const trace::Access& a : accesses) {
+    std::uint32_t& slot = to_local_[a.variable];
+    if (slot == kOutside) continue;
+    if (slot == kUnseen) {
+      slot = static_cast<std::uint32_t>(local.globals.size());
+      local.globals.push_back(a.variable);
+      local.frequency.push_back(0);
+    }
+    const std::uint32_t cur = slot;
     ++local.frequency[cur];
-    if (prev != kNoIndex && prev != cur) {
+    if (prev != kOutside && prev != cur) {
       const std::uint64_t lo = std::min(prev, cur);
       const std::uint64_t hi = std::max(prev, cur);
-      transitions.push_back((lo << 32) | hi);
+      transitions_.push_back((lo << 32) | hi);
     }
     prev = cur;
   }
-  std::sort(transitions.begin(), transitions.end());
-  for (std::size_t i = 0; i < transitions.size();) {
-    const std::uint64_t key = transitions[i];
+
+  // Subset variables never accessed, ascending id; then hand the map
+  // back clean.
+  for (const VariableId v : vars) {
+    if (to_local_[v] == kUnseen) local.unused.push_back(v);
+  }
+  std::sort(local.unused.begin(), local.unused.end());
+  for (const VariableId v : vars) to_local_[v] = kOutside;
+
+  // Compact the sorted transitions into distinct keys with weights and
+  // count each vertex's degree.
+  const std::size_t n = local.size();
+  local.edge_begin.assign(n + 1, 0);
+  std::sort(transitions_.begin(), transitions_.end());
+  weights_.clear();
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < transitions_.size();) {
+    const std::uint64_t key = transitions_[i];
     std::size_t j = i;
-    while (j < transitions.size() && transitions[j] == key) ++j;
-    const std::uint64_t weight = j - i;
-    const auto u = static_cast<std::size_t>(key >> 32);
-    const auto v = static_cast<std::size_t>(key & 0xFFFFFFFFULL);
-    local.adjacency[u].push_back({static_cast<VariableId>(v), weight});
-    local.adjacency[v].push_back({static_cast<VariableId>(u), weight});
+    while (j < transitions_.size() && transitions_[j] == key) ++j;
+    transitions_[distinct++] = key;
+    weights_.push_back(j - i);
+    ++local.edge_begin[(key >> 32) + 1];
+    ++local.edge_begin[(key & 0xFFFFFFFFULL) + 1];
     i = j;
   }
-  for (auto& edges : local.adjacency) {
-    std::sort(edges.begin(), edges.end(),
-              [](const auto& a, const auto& b) {
-                return a.neighbor < b.neighbor;
-              });
+  for (std::size_t v = 0; v < n; ++v) {
+    local.edge_begin[v + 1] += local.edge_begin[v];
+  }
+  // Filling in (lo, hi) key order leaves every list sorted by neighbour:
+  // vertex x first receives its lower neighbours (keys (lo, x), ascending
+  // lo), then its higher ones (keys (x, hi), ascending hi).
+  local.edges.resize(local.edge_begin[n]);
+  cursor_.assign(local.edge_begin.begin(), local.edge_begin.end() - 1);
+  for (std::size_t i = 0; i < distinct; ++i) {
+    const auto u = static_cast<VariableId>(transitions_[i] >> 32);
+    const auto v = static_cast<VariableId>(transitions_[i] & 0xFFFFFFFFULL);
+    local.edges[cursor_[u]++] = {v, weights_[i]};
+    local.edges[cursor_[v]++] = {u, weights_[i]};
   }
   return local;
 }
@@ -143,7 +198,7 @@ std::vector<std::size_t> GrowChain(const LocalProblem& local,
   std::deque<std::size_t> order;
   auto place = [&](std::size_t v) {
     placed[v] = true;
-    for (const auto& e : local.adjacency[v]) {
+    for (const auto& e : local.Neighbors(v)) {
       if (!placed[e.neighbor]) gain[e.neighbor] += e.weight;
     }
   };
@@ -178,8 +233,8 @@ std::vector<std::size_t> GrowChain(const LocalProblem& local,
 
 std::uint64_t EdgeWeightBetween(const LocalProblem& local, std::size_t u,
                                 std::size_t v) {
-  // Adjacency lists are sorted by neighbor id (BuildLocal).
-  const auto& edges = local.adjacency[u];
+  // Neighbour lists are sorted by neighbour id (LocalWorkspace::Build).
+  const auto edges = local.Neighbors(u);
   const auto it = std::lower_bound(
       edges.begin(), edges.end(), v,
       [](const trace::AccessGraph::Edge& e, std::size_t id) {
@@ -213,7 +268,7 @@ std::vector<std::size_t> GreedyEdgeChain(const LocalProblem& local) {
   };
   std::vector<WeightedEdge> edges;
   for (std::size_t u = 0; u < n; ++u) {
-    for (const auto& e : local.adjacency[u]) {
+    for (const auto& e : local.Neighbors(u)) {
       if (u < e.neighbor) edges.push_back({u, e.neighbor, e.weight});
     }
   }
@@ -330,7 +385,7 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
     in_chain[order.front()] = 1;  // adopts the seed on the first call
     front_terms.clear();
     back_terms.clear();
-    for (const auto& e : local.adjacency[v]) {
+    for (const auto& e : local.Neighbors(v)) {
       if (!in_chain[e.neighbor]) continue;
       front_terms.push_back({coord[e.neighbor] - front_coord, e.weight});
       back_terms.push_back({back_coord - coord[e.neighbor], e.weight});
@@ -356,14 +411,14 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
     const std::size_t u = chain[p];
     const std::size_t w = chain[p + 1];
     std::int64_t delta = 0;
-    for (const auto& e : local.adjacency[u]) {
+    for (const auto& e : local.Neighbors(u)) {
       if (e.neighbor == w) continue;
       const std::int64_t x = pos[e.neighbor];
       const auto wt = static_cast<std::int64_t>(e.weight);
       delta += wt * (std::llabs(static_cast<std::int64_t>(p + 1) - x) -
                      std::llabs(static_cast<std::int64_t>(p) - x));
     }
-    for (const auto& e : local.adjacency[w]) {
+    for (const auto& e : local.Neighbors(w)) {
       if (e.neighbor == u) continue;
       const std::int64_t x = pos[e.neighbor];
       const auto wt = static_cast<std::int64_t>(e.weight);
@@ -389,6 +444,24 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
   return chain;
 }
 
+/// Orders one DBC from its local problem; `heuristic` is not kNone.
+std::vector<VariableId> OrderLocal(IntraHeuristic heuristic,
+                                   const LocalProblem& local) {
+  switch (heuristic) {
+    case IntraHeuristic::kOfu:
+      return OfuOrder(local);
+    case IntraHeuristic::kChen:
+      return FinishOrder(local, ChenChain(local));
+    case IntraHeuristic::kShiftsReduce:
+      return FinishOrder(local, ShiftsReduceChain(local));
+    case IntraHeuristic::kGreedyEdge:
+      return FinishOrder(local, GreedyEdgeChain(local));
+    case IntraHeuristic::kNone:
+      break;
+  }
+  throw std::invalid_argument("OrderVariables: unknown heuristic");
+}
+
 }  // namespace
 
 std::string_view ToString(IntraHeuristic heuristic) noexcept {
@@ -409,20 +482,9 @@ std::vector<VariableId> OrderVariables(IntraHeuristic heuristic,
   if (heuristic == IntraHeuristic::kNone) {
     return {vars.begin(), vars.end()};
   }
-  const LocalProblem local = BuildLocal(accesses, vars, num_variables);
-  switch (heuristic) {
-    case IntraHeuristic::kOfu:
-      return OfuOrder(local);
-    case IntraHeuristic::kChen:
-      return FinishOrder(local, ChenChain(local));
-    case IntraHeuristic::kShiftsReduce:
-      return FinishOrder(local, ShiftsReduceChain(local));
-    case IntraHeuristic::kGreedyEdge:
-      return FinishOrder(local, GreedyEdgeChain(local));
-    case IntraHeuristic::kNone:
-      break;
-  }
-  throw std::invalid_argument("OrderVariables: unknown heuristic");
+  LocalWorkspace workspace(
+      std::vector<std::uint32_t>(num_variables, kOutside));
+  return OrderLocal(heuristic, workspace.Build(accesses, vars, num_variables));
 }
 
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
@@ -436,7 +498,6 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
   // order, the accesses of DBC first + b — exactly Restrict() of its
   // variable list. Reordering one DBC never changes another's members,
   // so the buckets stay valid while the loop below rewrites the range.
-  constexpr std::uint32_t kOutside = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> bucket_of(
       std::max(seq.num_variables(), placement.num_variables()), kOutside);
   for (std::uint32_t d = first; d < end; ++d) {
@@ -457,6 +518,11 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
     if (b != kOutside) bucketed[fill[b]++] = a;
   }
 
+  // The bucket map, cleared, becomes the workspace's global -> local map.
+  for (std::uint32_t d = first; d < end; ++d) {
+    for (const VariableId v : placement.dbc(d)) bucket_of[v] = kOutside;
+  }
+  LocalWorkspace workspace(std::move(bucket_of));
   const std::span<const trace::Access> all(bucketed);
   for (std::uint32_t d = first; d < end; ++d) {
     const auto& vars = placement.dbc(d);
@@ -464,8 +530,9 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
     const std::size_t b = d - first;
     const std::span<const trace::Access> accesses =
         all.subspan(bucket_begin[b], bucket_begin[b + 1] - bucket_begin[b]);
-    placement.Reorder(d, OrderVariables(heuristic, accesses, vars,
-                                        seq.num_variables()));
+    placement.Reorder(d, OrderLocal(heuristic,
+                                    workspace.Build(accesses, vars,
+                                                    seq.num_variables())));
   }
 }
 

@@ -42,8 +42,10 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 
 /// Orders `vars` for one DBC given the DBC's restricted access list.
 /// `num_variables` is the size of the global variable space (ids in
-/// `accesses`/`vars` are global). Variables in `vars` that never appear in
-/// `accesses` are appended at the end in ascending id order.
+/// `accesses`/`vars` are global); accesses to variables outside `vars` are
+/// skipped. Variables in `vars` that never appear in `accesses` are
+/// appended at the end in ascending id order. Allocates one
+/// O(num_variables) map per call; ApplyIntra shares one across DBCs.
 [[nodiscard]] std::vector<VariableId> OrderVariables(
     IntraHeuristic heuristic, std::span<const trace::Access> accesses,
     std::span<const VariableId> vars, std::size_t num_variables);
@@ -52,9 +54,11 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// using `heuristic`. Each DBC is ordered by OrderVariables on its own
 /// accesses, i.e. on exactly `seq.Restrict(placement.dbc(d))`; DBCs with
 /// fewer than two variables are left alone. One pass over `seq` buckets
-/// the accesses of every DBC in the range, so a call costs
-/// O(|seq| + variables) plus the per-DBC heuristic work, however wide the
-/// range. Throws std::out_of_range unless first <= end <= num_dbcs.
+/// the accesses of every DBC in the range into one O(|seq| + variables)
+/// workspace, reused for every DBC: a DBC with accesses S_d and members
+/// V_d then costs O(|S_d| log |S_d| + |V_d| log |V_d|) to set up,
+/// independent of the registered variable count, plus the heuristic work.
+/// Throws std::out_of_range unless first <= end <= num_dbcs.
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
                 Placement& placement, std::uint32_t first, std::uint32_t end);
 

@@ -131,9 +131,12 @@ double SearchEffortFromEnv(double fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
-  // NaN fails every comparison, so test finiteness explicitly: "nan",
-  // "inf" and out-of-range "1e999" are invalid, not efforts.
-  if (end == raw || !std::isfinite(value) || value <= 0.0) return fallback;
+  // The whole value must parse: "2x" is invalid, not 2. NaN fails every
+  // comparison, so test finiteness explicitly: "nan", "inf" and
+  // out-of-range "1e999" are invalid, not efforts.
+  if (end == raw || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+    return fallback;
+  }
   return value;
 }
 
@@ -145,7 +148,9 @@ unsigned ThreadCountFromEnv(unsigned fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
-  if (end == raw || value <= 0 || value > kMaxThreads) return fallback;
+  if (end == raw || *end != '\0' || value <= 0 || value > kMaxThreads) {
+    return fallback;
+  }
   return static_cast<unsigned>(value);
 }
 

@@ -133,11 +133,13 @@ struct ExperimentOptions {
 
 /// Reads ExperimentOptions::search_effort from the RTMPLACE_EFFORT
 /// environment variable (falls back to `fallback` when unset/invalid;
-/// non-numeric, non-positive and non-finite values are invalid).
+/// non-numeric, partly numeric ("2x"), non-positive and non-finite values
+/// are invalid).
 [[nodiscard]] double SearchEffortFromEnv(double fallback);
 
 /// Reads ExperimentOptions::num_threads from the RTMPLACE_THREADS
-/// environment variable (falls back to `fallback` when unset/invalid).
+/// environment variable (falls back to `fallback` when unset/invalid;
+/// anything but a whole integer in [1, 1024] is invalid).
 [[nodiscard]] unsigned ThreadCountFromEnv(unsigned fallback);
 
 /// Runs the full matrix over `suite` on a thread pool (see header

@@ -1,6 +1,8 @@
 #include "trace/access_sequence.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace rtmp::trace {
 
@@ -54,6 +56,60 @@ void AccessSequence::Append(VariableId variable, AccessType type) {
     throw std::out_of_range("access to unregistered variable id");
   }
   accesses_.push_back(Access{variable, type});
+}
+
+std::span<const VariableId> AccessSequence::IdsByName() const {
+  return name_order_.Get(names_);
+}
+
+AccessSequence::NameOrder::NameOrder(const NameOrder& other) {
+  const std::lock_guard<std::mutex> lock(other.mutex_);
+  ids_ = other.ids_;
+}
+
+AccessSequence::NameOrder::NameOrder(NameOrder&& other) noexcept
+    : ids_(std::move(other.ids_)) {
+  other.ids_.clear();
+}
+
+AccessSequence::NameOrder& AccessSequence::NameOrder::operator=(
+    const NameOrder& other) {
+  if (this == &other) return *this;
+  std::vector<VariableId> copy;
+  {
+    const std::lock_guard<std::mutex> lock(other.mutex_);
+    copy = other.ids_;
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ids_ = std::move(copy);
+  return *this;
+}
+
+AccessSequence::NameOrder& AccessSequence::NameOrder::operator=(
+    NameOrder&& other) noexcept {
+  ids_ = std::move(other.ids_);
+  other.ids_.clear();
+  return *this;
+}
+
+std::span<const VariableId> AccessSequence::NameOrder::Get(
+    const std::vector<std::string>& names) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // Names are append-only, so the cache is a name-sorted permutation of
+  // the ids [0, built) and the ids [built, names.size()) are new.
+  const std::size_t built = ids_.size();
+  if (built == names.size()) return ids_;
+  const auto by_name = [&names](VariableId a, VariableId b) {
+    return names[a] < names[b];
+  };
+  ids_.resize(names.size());
+  for (std::size_t i = built; i < ids_.size(); ++i) {
+    ids_[i] = static_cast<VariableId>(i);
+  }
+  const auto middle = ids_.begin() + static_cast<std::ptrdiff_t>(built);
+  std::sort(middle, ids_.end(), by_name);
+  std::inplace_merge(ids_.begin(), middle, ids_.end(), by_name);
+  return ids_;
 }
 
 std::size_t AccessSequence::CountWrites() const noexcept {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -96,6 +97,15 @@ class AccessSequence {
     return names_;
   }
 
+  /// Every registered id, in ascending name order (names are unique, so
+  /// the order is total). Built on first use and cached; a later call
+  /// after k more registrations sorts only the k new ids and merges them
+  /// in, O(k log k + variables). AddVariable never maintains it, so
+  /// registration stays O(1). Safe to call concurrently on a shared const
+  /// sequence (a mutex guards the build); the span is valid until the
+  /// next non-const call.
+  [[nodiscard]] std::span<const VariableId> IdsByName() const;
+
   /// Number of write accesses (the rest are reads).
   [[nodiscard]] std::size_t CountWrites() const noexcept;
 
@@ -113,6 +123,26 @@ class AccessSequence {
   /// keeps it that way.
   std::unordered_map<std::string, VariableId> ids_;
   std::vector<Access> accesses_;
+
+  /// The IdsByName() cache. Copies and moves carry the ids built so far
+  /// (a copy under the source's lock); each object owns its own mutex.
+  class NameOrder {
+   public:
+    NameOrder() = default;
+    NameOrder(const NameOrder& other);
+    NameOrder(NameOrder&& other) noexcept;
+    NameOrder& operator=(const NameOrder& other);
+    NameOrder& operator=(NameOrder&& other) noexcept;
+
+    /// Brings the cache up to date with `names` and returns it.
+    [[nodiscard]] std::span<const VariableId> Get(
+        const std::vector<std::string>& names) const;
+
+   private:
+    mutable std::mutex mutex_;
+    mutable std::vector<VariableId> ids_;
+  };
+  NameOrder name_order_;
 };
 
 }  // namespace rtmp::trace

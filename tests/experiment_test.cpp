@@ -124,7 +124,8 @@ TEST(Experiment, SearchEffortFromEnvParsesAndFallsBack) {
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
   // Non-finite values are invalid too: NaN used to reach the GA's
   // population sizing, and inf serialized as "search_effort": null.
-  for (const char* raw : {"nan", "inf", "-inf", "1e999"}) {
+  // Trailing garbage makes the whole value invalid.
+  for (const char* raw : {"nan", "inf", "-inf", "1e999", "2x", "0.5 "}) {
     ::setenv("RTMPLACE_EFFORT", raw, 1);
     EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << raw;
   }
@@ -145,6 +146,11 @@ TEST(Experiment, ThreadCountFromEnvParsesAndFallsBack) {
   // Out-of-range values must fall back, not wrap in the unsigned cast.
   ::setenv("RTMPLACE_THREADS", "4294967298", 1);
   EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
+  // Trailing garbage makes the whole value invalid.
+  for (const char* raw : {"4x", "8threads"}) {
+    ::setenv("RTMPLACE_THREADS", raw, 1);
+    EXPECT_EQ(ThreadCountFromEnv(3u), 3u) << raw;
+  }
   ::unsetenv("RTMPLACE_THREADS");
 }
 

@@ -251,38 +251,49 @@ void RestrictingApplyIntra(IntraHeuristic heuristic, const AccessSequence& seq,
                                         seq.num_variables()));
 }
 
+constexpr IntraHeuristic kAllHeuristics[] = {
+    IntraHeuristic::kNone, IntraHeuristic::kOfu, IntraHeuristic::kChen,
+    IntraHeuristic::kShiftsReduce, IntraHeuristic::kGreedyEdge};
+
+// A random Markov (even trials) or phased (odd trials) sequence.
+AccessSequence RandomTrialSequence(int trial, util::Rng& rng) {
+  if (trial % 2 == 0) {
+    trace::MarkovParams params;
+    params.num_vars = 2 + rng.NextBelow(40);
+    params.length = 1 + rng.NextBelow(300);
+    return trace::GenerateMarkov(params, rng);
+  }
+  trace::PhasedParams params;
+  params.num_phases = 1 + rng.NextBelow(5);
+  params.vars_per_phase = 1 + rng.NextBelow(8);
+  params.accesses_per_phase = 1 + rng.NextBelow(60);
+  return trace::GeneratePhased(params, rng);
+}
+
+// A random, partly filled placement: about one variable in eight stays
+// unplaced.
+Placement RandomPartialPlacement(const AccessSequence& seq, util::Rng& rng) {
+  const auto num_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(8));
+  Placement placement(seq.num_variables(), num_dbcs);
+  for (VariableId v = 0; v < seq.num_variables(); ++v) {
+    if (rng.NextBool(0.875)) {
+      placement.Append(static_cast<std::uint32_t>(rng.NextBelow(num_dbcs)),
+                       v);
+    }
+  }
+  return placement;
+}
+
 TEST(IntraHeuristics, RangeApplyMatchesPerDbcRestrictReference) {
   util::Rng rng(0x1A7EA5EEDULL);
-  const IntraHeuristic heuristics[] = {
-      IntraHeuristic::kNone, IntraHeuristic::kOfu, IntraHeuristic::kChen,
-      IntraHeuristic::kShiftsReduce, IntraHeuristic::kGreedyEdge};
   for (int trial = 0; trial < 200; ++trial) {
-    AccessSequence seq;
-    if (trial % 2 == 0) {
-      trace::MarkovParams params;
-      params.num_vars = 2 + rng.NextBelow(40);
-      params.length = 1 + rng.NextBelow(300);
-      seq = trace::GenerateMarkov(params, rng);
-    } else {
-      trace::PhasedParams params;
-      params.num_phases = 1 + rng.NextBelow(5);
-      params.vars_per_phase = 1 + rng.NextBelow(8);
-      params.accesses_per_phase = 1 + rng.NextBelow(60);
-      seq = trace::GeneratePhased(params, rng);
-    }
-    // A random, partly filled placement: about one variable in eight
-    // stays unplaced.
-    const auto num_dbcs = static_cast<std::uint32_t>(1 + rng.NextBelow(8));
-    Placement base(seq.num_variables(), num_dbcs);
-    for (VariableId v = 0; v < seq.num_variables(); ++v) {
-      if (rng.NextBool(0.875)) {
-        base.Append(static_cast<std::uint32_t>(rng.NextBelow(num_dbcs)), v);
-      }
-    }
+    const AccessSequence seq = RandomTrialSequence(trial, rng);
+    const Placement base = RandomPartialPlacement(seq, rng);
+    const std::uint32_t num_dbcs = base.num_dbcs();
     const auto first = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
     const auto end = static_cast<std::uint32_t>(
         first + 1 + rng.NextBelow(num_dbcs - first));
-    for (const IntraHeuristic heuristic : heuristics) {
+    for (const IntraHeuristic heuristic : kAllHeuristics) {
       Placement got = base;
       ApplyIntra(heuristic, seq, got, first, end);
       Placement want = base;
@@ -292,6 +303,52 @@ TEST(IntraHeuristics, RangeApplyMatchesPerDbcRestrictReference) {
       EXPECT_EQ(got, want) << "trial " << trial << " heuristic "
                            << ToString(heuristic);
       got.CheckInvariants();
+    }
+  }
+}
+
+// One range call reuses its workspace across DBCs; one call per DBC
+// builds a fresh one each time. Both must place identically.
+TEST(IntraHeuristics, RangeApplyMatchesOneCallPerDbc) {
+  util::Rng rng(0xC5A11DBCULL);
+  for (int trial = 0; trial < 200; ++trial) {
+    const AccessSequence seq = RandomTrialSequence(trial, rng);
+    const Placement base = RandomPartialPlacement(seq, rng);
+    for (const IntraHeuristic heuristic : kAllHeuristics) {
+      Placement got = base;
+      ApplyIntra(heuristic, seq, got, 0, base.num_dbcs());
+      Placement want = base;
+      for (std::uint32_t d = 0; d < base.num_dbcs(); ++d) {
+        ApplyIntra(heuristic, seq, want, d, d + 1);
+      }
+      EXPECT_EQ(got, want) << "trial " << trial << " heuristic "
+                           << ToString(heuristic);
+    }
+  }
+}
+
+// OrderVariables skips accesses to variables outside `vars`, so the full
+// access list and the restricted one must give the same order.
+TEST(IntraHeuristics, OrderVariablesFiltersOutsideAccesses) {
+  util::Rng rng(0xF117E2EDULL);
+  for (int trial = 0; trial < 200; ++trial) {
+    const AccessSequence seq = RandomTrialSequence(trial, rng);
+    std::vector<VariableId> vars;
+    for (VariableId v = 0; v < seq.num_variables(); ++v) {
+      if (rng.NextBool(0.5)) vars.push_back(v);
+    }
+    // Members in a random order: the unused tail must still come out
+    // sorted by id.
+    for (std::size_t i = vars.size(); i > 1; --i) {
+      std::swap(vars[i - 1], vars[rng.NextBelow(i)]);
+    }
+    const std::vector<trace::Access> restricted = seq.Restrict(vars);
+    for (const IntraHeuristic heuristic : kAllHeuristics) {
+      EXPECT_EQ(OrderVariables(heuristic, seq.accesses(), vars,
+                               seq.num_variables()),
+                OrderVariables(heuristic, restricted, vars,
+                               seq.num_variables()))
+          << "trial " << trial << " heuristic " << ToString(heuristic);
     }
   }
 }

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "core/inter_afd.h"
 #include "trace/access_graph.h"
 #include "trace/access_sequence.h"
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/variable_stats.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace rtmp::trace {
 namespace {
@@ -68,6 +73,67 @@ TEST(AccessSequence, RestrictKeepsOrderAndSubset) {
   EXPECT_EQ(restricted[0].variable, 0u);
   EXPECT_EQ(restricted[1].variable, 2u);
   EXPECT_EQ(restricted[4].variable, 0u);
+}
+
+TEST(AccessSequence, IdsByNameSortsAndMergesLateRegistrations) {
+  AccessSequence seq;
+  seq.AddVariable("t1/b");  // 0
+  seq.AddVariable("t0/z");  // 1
+  seq.AddVariable("c");     // 2
+  const std::vector<VariableId> first(seq.IdsByName().begin(),
+                                      seq.IdsByName().end());
+  EXPECT_EQ(first, (std::vector<VariableId>{2, 1, 0}));
+  seq.AddVariable("t0/a");  // 3
+  seq.AddVariable("d");     // 4
+  seq.AddVariable("c");     // re-registration adds nothing
+  const auto merged = seq.IdsByName();
+  EXPECT_EQ(std::vector<VariableId>(merged.begin(), merged.end()),
+            (std::vector<VariableId>{2, 4, 3, 1, 0}));
+}
+
+TEST(AccessSequence, ConcurrentNameIndexReadersAgree) {
+  // Many distinct, prefix-sharing names, half of them never accessed.
+  AccessSequence seq;
+  for (int i = 0; i < 2000; ++i) {
+    seq.AddVariable(util::Concat({"t", std::to_string(i % 7), "/v",
+                                  std::to_string(i * 7919 % 2000)}));
+  }
+  for (VariableId v = 0; v < seq.num_variables(); v += 2) {
+    for (VariableId r = 0; r <= v % 5; ++r) seq.Append(v);
+  }
+  const auto stats = ComputeVariableStats(seq);
+
+  // The serial reference runs on a copy, so the shared sequence's index
+  // is still unbuilt when the readers race to build it.
+  AccessSequence serial_copy = seq;
+  const auto serial_ids = serial_copy.IdsByName();
+  const std::vector<VariableId> want_ids(serial_ids.begin(),
+                                         serial_ids.end());
+  const auto want_order = core::SortByFrequencyDescending(stats, serial_copy);
+
+  const AccessSequence& shared = seq;
+  constexpr int kThreads = 8;
+  std::vector<std::vector<VariableId>> got_ids(kThreads);
+  std::vector<std::vector<VariableId>> got_order(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      if (t % 2 == 0) {
+        const auto ids = shared.IdsByName();
+        got_ids[t].assign(ids.begin(), ids.end());
+        got_order[t] = core::SortByFrequencyDescending(stats, shared);
+      } else {
+        got_order[t] = core::SortByFrequencyDescending(stats, shared);
+        const auto ids = shared.IdsByName();
+        got_ids[t].assign(ids.begin(), ids.end());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got_ids[t], want_ids) << "thread " << t;
+    EXPECT_EQ(got_order[t], want_order) << "thread " << t;
+  }
 }
 
 TEST(AccessSequence, EmptySequence) {
