@@ -1,13 +1,10 @@
 #include "cache/cache_policy.h"
 
-#include <algorithm>
-#include <cctype>
-#include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "core/registry_namespace.h"
-#include "core/strategy_registry.h"
-#include "util/strings.h"
+#include "cache/eviction.h"
+#include "online/policy.h"
 
 namespace rtmp::cache {
 
@@ -68,108 +65,6 @@ std::shared_ptr<const CachePolicy> MakeFixedCachePolicy(CachePolicyInfo info,
                                                   std::move(config));
 }
 
-CachePolicyRegistry& CachePolicyRegistry::Global() {
-  static CachePolicyRegistry* registry = [] {
-    // Leaked: outlives CachePolicyRegistrar uses in static destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new CachePolicyRegistry();
-    r->ClaimCellNamespace("cache policy");
-    RegisterBuiltinCachePolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void CachePolicyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("CachePolicyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Cache-policy names share the experiment engine's strategy-name space
-  // (cells, CLI arguments, report keys): same charset, and no collision
-  // with a registered strategy.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("CachePolicyRegistry: invalid name '" + name +
-                                "'");
-  }
-  if (core::StrategyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument(
-        "CachePolicyRegistry: '" + key +
-        "' is already a registered placement strategy");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("CachePolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const CachePolicyRegistry::Entry* CachePolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const CachePolicy> CachePolicyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  auto instance = factory();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return instance;
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<CachePolicyInfo> CachePolicyRegistry::Describe(
-    std::string_view name) const {
-  const auto policy = Find(name);
-  if (!policy) return std::nullopt;
-  return policy->Describe();
-}
-
-bool CachePolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> CachePolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t CachePolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry) {
   for (const char* eviction :
        {"cache-lru", "cache-lfu", "cache-sample", "cache-shift-aware"}) {
@@ -179,9 +74,17 @@ void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry) {
   }
 }
 
-CachePolicyRegistrar::CachePolicyRegistrar(std::string name,
-                                           CachePolicyRegistry::Factory factory) {
-  CachePolicyRegistry::Global().Register(std::move(name), std::move(factory));
-}
-
 }  // namespace rtmp::cache
+
+namespace rtmp::core {
+template <>
+cache::CachePolicyRegistry& cache::CachePolicyRegistry::Global() {
+  // Strategies, online and eviction policies claim their names first
+  // (see OnlinePolicyRegistry::Global()).
+  (void)online::OnlinePolicyRegistry::Global();
+  (void)cache::EvictionPolicyRegistry::Global();
+  static cache::CachePolicyRegistry& registry = MakeGlobal(
+      cell_kind::kCachePolicy, cache::RegisterBuiltinCachePolicies);
+  return registry;
+}
+}  // namespace rtmp::core

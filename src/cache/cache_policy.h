@@ -1,15 +1,14 @@
-// Cache-policy registry: the name-keyed dispatch layer for hybrid-memory
-// cache configurations, mirroring the strategy / online-policy / serve-
-// policy registries.
+// Cache policies: named hybrid-memory cache configurations, looked up
+// through core::Registry (core/registry.h).
 //
 // A cache policy is a named CacheConfig recipe: which eviction policy
 // runs the resident set, what fraction of the working set fits on the
 // device, and which wrapped online engine serves the hits. Policies
 // enter the evaluation matrix by name exactly like strategies and
-// online policies do — sim::RunCell resolves a name it finds in neither
-// of those registries here, so `ExperimentOptions::extra_strategies`,
-// `rtmbench` scenarios and `placement_explorer cache` all accept cache
-// policy names interchangeably.
+// online policies do — sim::RunCell runs a cache-policy name as a cache
+// cell, so `ExperimentOptions::extra_strategies`, `rtmbench` scenarios
+// and `placement_explorer cache` all accept cache policy names
+// interchangeably.
 //
 // The built-ins wrap the SAME engine recipe as the online policy
 // "online-fixed-dma-sr"; a capacity-100% cache cell is therefore
@@ -17,15 +16,11 @@
 // bench/harness/scenarios/fig_cache.cpp).
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "cache/engine.h"
+#include "core/registry.h"
 
 namespace rtmp::cache {
 
@@ -56,68 +51,10 @@ class CachePolicy {
   [[nodiscard]] virtual CacheConfig MakeConfig() const = 0;
 };
 
-/// Name -> factory registry; same shape and thread-safety discipline as
-/// online::OnlinePolicyRegistry (lowercase keys, sorted flat vector,
-/// lazy cached instances, process-wide name arbitration).
-class CachePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const CachePolicy>()>;
-
-  CachePolicyRegistry() = default;
-  CachePolicyRegistry(const CachePolicyRegistry&) = delete;
-  CachePolicyRegistry& operator=(const CachePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// policies (see RegisterBuiltinCachePolicies).
-  [[nodiscard]] static CachePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered cache policy OR
-  /// with a registered placement strategy (the registries share the
-  /// experiment engine's name space; see core/registry_namespace.h for
-  /// the process-wide arbitration covering online and serve policies).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); Global() enables it ("cache policy"),
-  /// fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const CachePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<CachePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const CachePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (a dozen policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
-};
+/// Name -> cache-policy registry (core/registry.h). Global() claims its
+/// names as "cache policy" in the cell-name space.
+using CachePolicyRegistry = core::Registry<CachePolicy>;
+using CachePolicyRegistrar = CachePolicyRegistry::Registrar;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -137,12 +74,9 @@ void RegisterBuiltinCachePolicies(CachePolicyRegistry& registry);
 [[nodiscard]] std::shared_ptr<const CachePolicy> MakeFixedCachePolicy(
     CachePolicyInfo info, CacheConfig config);
 
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct CachePolicyRegistrar {
-  CachePolicyRegistrar(std::string name, CachePolicyRegistry::Factory factory);
-};
-
 }  // namespace rtmp::cache
+
+namespace rtmp::core {
+template <>
+cache::CachePolicyRegistry& cache::CachePolicyRegistry::Global();
+}  // namespace rtmp::core

@@ -47,11 +47,15 @@ CacheEngine::CacheEngine(CacheConfig config, rtm::RtmConfig device)
         "CacheEngine: capacity_slots must be resolved (> 0); "
         "see ResolveCapacity");
   }
-  policy_ = EvictionPolicyRegistry::Global().Create(config_.eviction,
-                                                    config_.eviction_seed);
-  if (policy_ == nullptr) {
+  const auto eviction = EvictionPolicyRegistry::Global().Find(config_.eviction);
+  if (eviction == nullptr) {
     throw std::invalid_argument("CacheEngine: unknown eviction policy '" +
                                 config_.eviction + "'");
+  }
+  policy_ = eviction->Create(config_.eviction_seed);
+  if (policy_ == nullptr) {
+    throw std::logic_error("CacheEngine: eviction policy '" +
+                           config_.eviction + "' created no policy");
   }
   frames_.resize(config_.capacity_slots);
   frame_ids_.resize(frames_.size());

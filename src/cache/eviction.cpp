@@ -1,15 +1,10 @@
 #include "cache/eviction.h"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdlib>
-#include <stdexcept>
 #include <utility>
 
-#include "core/registry_namespace.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace rtmp::cache {
 
@@ -24,28 +19,13 @@ std::uint32_t LeastRecentlyUsed(const EvictionContext& ctx) {
 
 class LruPolicy final : public EvictionPolicy {
  public:
-  explicit LruPolicy(EvictionPolicyInfo info) : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     return LeastRecentlyUsed(ctx);
   }
-
- private:
-  EvictionPolicyInfo info_;
 };
 
 class LfuPolicy final : public EvictionPolicy {
  public:
-  explicit LfuPolicy(EvictionPolicyInfo info) : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
-
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     std::uint32_t best = ctx.candidates.front();
     for (const std::uint32_t frame : ctx.candidates.subspan(1)) {
@@ -59,9 +39,6 @@ class LfuPolicy final : public EvictionPolicy {
     }
     return best;
   }
-
- private:
-  EvictionPolicyInfo info_;
 };
 
 /// zsim-style sampled LRU: O(K) per miss. Sampling is with replacement
@@ -71,12 +48,7 @@ class SampledLruPolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kSample = 5;
 
-  SampledLruPolicy(EvictionPolicyInfo info, std::uint64_t seed)
-      : info_(std::move(info)), rng_(seed) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
+  explicit SampledLruPolicy(std::uint64_t seed) : rng_(seed) {}
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     if (ctx.candidates.size() <= kSample) return LeastRecentlyUsed(ctx);
@@ -95,7 +67,6 @@ class SampledLruPolicy final : public EvictionPolicy {
   }
 
  private:
-  EvictionPolicyInfo info_;
   util::Rng rng_;
 };
 
@@ -108,13 +79,6 @@ class SampledLruPolicy final : public EvictionPolicy {
 class ShiftAwarePolicy final : public EvictionPolicy {
  public:
   static constexpr std::size_t kShortlist = 8;
-
-  explicit ShiftAwarePolicy(EvictionPolicyInfo info)
-      : info_(std::move(info)) {}
-
-  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
-    return info_;
-  }
 
   [[nodiscard]] std::uint32_t PickVictim(const EvictionContext& ctx) override {
     std::array<std::uint32_t, kShortlist> lru{};
@@ -169,9 +133,43 @@ class ShiftAwarePolicy final : public EvictionPolicy {
     }
     return score;
   }
-
-  EvictionPolicyInfo info_;
 };
+
+/// A built-in policy's registry entry: its description plus the
+/// function that builds a fresh instance.
+class BuiltinFactory final : public EvictionPolicyFactory {
+ public:
+  using Make = std::unique_ptr<EvictionPolicy> (*)(std::uint64_t seed);
+
+  BuiltinFactory(EvictionPolicyInfo info, Make make)
+      : info_(std::move(info)), make_(make) {}
+
+  [[nodiscard]] const EvictionPolicyInfo& Describe() const noexcept override {
+    return info_;
+  }
+
+  [[nodiscard]] std::unique_ptr<EvictionPolicy> Create(
+      std::uint64_t seed) const override {
+    return make_(seed);
+  }
+
+ private:
+  EvictionPolicyInfo info_;
+  Make make_;
+};
+
+template <class Policy>
+std::unique_ptr<EvictionPolicy> MakeUnseeded(std::uint64_t /*seed*/) {
+  return std::make_unique<Policy>();
+}
+
+void RegisterBuiltin(EvictionPolicyRegistry& registry, const char* name,
+                     const char* summary, BuiltinFactory::Make make) {
+  registry.Register(name, [name, summary, make] {
+    return std::make_shared<const BuiltinFactory>(
+        EvictionPolicyInfo{name, summary}, make);
+  });
+}
 
 }  // namespace
 
@@ -190,146 +188,34 @@ std::size_t LeastRecentCandidates(const EvictionContext& ctx,
   return count;
 }
 
-EvictionPolicyRegistry& EvictionPolicyRegistry::Global() {
-  static EvictionPolicyRegistry* registry = [] {
-    // Leaked: outlives EvictionPolicyRegistrar uses in static
-    // destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new EvictionPolicyRegistry();
-    r->ClaimCellNamespace("cache eviction policy");
-    RegisterBuiltinEvictionPolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void EvictionPolicyRegistry::Register(EvictionPolicyInfo info,
-                                      Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("EvictionPolicyRegistry: null factory for '" +
-                                info.name + "'");
-  }
-  std::string key = util::ToLower(info.name);
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("EvictionPolicyRegistry: invalid name '" +
-                                info.name + "'");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  info.name = key;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("EvictionPolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(
-      it, {std::move(key), Entry{std::move(info), std::move(factory)}});
-}
-
-const EvictionPolicyRegistry::Entry* EvictionPolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::unique_ptr<EvictionPolicy> EvictionPolicyRegistry::Create(
-    std::string_view name, std::uint64_t seed) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  return factory(seed);
-}
-
-std::optional<EvictionPolicyInfo> EvictionPolicyRegistry::Describe(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return std::nullopt;
-  return entry->info;
-}
-
-bool EvictionPolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> EvictionPolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t EvictionPolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinEvictionPolicies(EvictionPolicyRegistry& registry) {
-  registry.Register(
-      {"cache-lru", "evict the least recently used resident frame"},
-      [](std::uint64_t) {
-        return std::make_unique<LruPolicy>(EvictionPolicyInfo{
-            "cache-lru", "evict the least recently used resident frame"});
-      });
-  registry.Register(
-      {"cache-lfu",
-       "evict the least frequently used resident frame (recency breaks "
-       "ties)"},
-      [](std::uint64_t) {
-        return std::make_unique<LfuPolicy>(EvictionPolicyInfo{
-            "cache-lfu",
-            "evict the least frequently used resident frame (recency breaks "
-            "ties)"});
-      });
-  registry.Register(
-      {"cache-sample",
-       "zsim-style sampled LRU: evict the least recently used of 5 "
-       "randomly drawn frames"},
-      [](std::uint64_t seed) {
-        return std::make_unique<SampledLruPolicy>(
-            EvictionPolicyInfo{
-                "cache-sample",
-                "zsim-style sampled LRU: evict the least recently used of 5 "
-                "randomly drawn frames"},
-            seed);
-      });
-  registry.Register(
-      {"cache-shift-aware",
-       "evict the cold frame whose slot is cheapest to sweep from the "
-       "current port alignment, avoiding frames still needed this window"},
-      [](std::uint64_t) {
-        return std::make_unique<ShiftAwarePolicy>(EvictionPolicyInfo{
-            "cache-shift-aware",
-            "evict the cold frame whose slot is cheapest to sweep from the "
-            "current port alignment, avoiding frames still needed this "
-            "window"});
-      });
-}
-
-EvictionPolicyRegistrar::EvictionPolicyRegistrar(
-    EvictionPolicyInfo info, EvictionPolicyRegistry::Factory factory) {
-  EvictionPolicyRegistry::Global().Register(std::move(info),
-                                            std::move(factory));
+  RegisterBuiltin(registry, "cache-lru",
+                  "evict the least recently used resident frame",
+                  MakeUnseeded<LruPolicy>);
+  RegisterBuiltin(registry, "cache-lfu",
+                  "evict the least frequently used resident frame (recency "
+                  "breaks ties)",
+                  MakeUnseeded<LfuPolicy>);
+  RegisterBuiltin(registry, "cache-sample",
+                  "zsim-style sampled LRU: evict the least recently used of "
+                  "5 randomly drawn frames",
+                  [](std::uint64_t seed) -> std::unique_ptr<EvictionPolicy> {
+                    return std::make_unique<SampledLruPolicy>(seed);
+                  });
+  RegisterBuiltin(registry, "cache-shift-aware",
+                  "evict the cold frame whose slot is cheapest to sweep from "
+                  "the current port alignment, avoiding frames still needed "
+                  "this window",
+                  MakeUnseeded<ShiftAwarePolicy>);
 }
 
 }  // namespace rtmp::cache
+
+namespace rtmp::core {
+template <>
+cache::EvictionPolicyRegistry& cache::EvictionPolicyRegistry::Global() {
+  static cache::EvictionPolicyRegistry& registry = MakeGlobal(
+      cell_kind::kEvictionPolicy, cache::RegisterBuiltinEvictionPolicies);
+  return registry;
+}
+}  // namespace rtmp::core

@@ -13,22 +13,18 @@
 // bookkeeping stays in the engine.
 //
 // Policies may be stateful (cache-sample keeps an RNG) but are used from
-// a single thread per engine; the registry hands out a fresh instance
-// per Create() call rather than caching, precisely so engines never
-// share policy state.
+// a single thread per engine. The registry therefore holds one shared
+// factory per name, and each engine Create()s its own policy from it,
+// so engines never share policy state.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/placement.h"
+#include "core/registry.h"
 
 namespace rtmp::cache {
 
@@ -119,9 +115,6 @@ class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
 
-  [[nodiscard]] virtual const EvictionPolicyInfo& Describe()
-      const noexcept = 0;
-
   /// Picks the frame to evict. `ctx.candidates` is never empty; the
   /// engine validates the returned frame is among them and throws
   /// std::logic_error otherwise (a policy bug, not an input error).
@@ -129,71 +122,26 @@ class EvictionPolicy {
       const EvictionContext& ctx) = 0;
 };
 
-/// Name -> factory registry for eviction policies. Same shape and
-/// discipline as online::OnlinePolicyRegistry (lowercase keys, sorted
-/// flat vector, process-wide name arbitration via
-/// core::RegistryNamespace), with one deliberate difference: Create()
-/// builds a FRESH instance every call instead of caching — eviction
-/// policies are stateful per engine.
-class EvictionPolicyRegistry {
+/// What the registry holds per eviction-policy name: a stateless maker
+/// of fresh per-engine policies.
+class EvictionPolicyFactory {
  public:
-  /// `seed` feeds randomized policies (cache-sample); deterministic
-  /// policies ignore it.
-  using Factory =
-      std::function<std::unique_ptr<EvictionPolicy>(std::uint64_t seed)>;
+  virtual ~EvictionPolicyFactory() = default;
 
-  EvictionPolicyRegistry() = default;
-  EvictionPolicyRegistry(const EvictionPolicyRegistry&) = delete;
-  EvictionPolicyRegistry& operator=(const EvictionPolicyRegistry&) = delete;
+  [[nodiscard]] virtual const EvictionPolicyInfo& Describe()
+      const noexcept = 0;
 
-  /// The process-wide registry, pre-populated with the built-in policies
-  /// (see RegisterBuiltinEvictionPolicies).
-  [[nodiscard]] static EvictionPolicyRegistry& Global();
-
-  /// Registers `factory` under `info.name` (normalized to lowercase).
-  /// Throws std::invalid_argument on an empty or ill-charset name
-  /// (outside [a-z0-9._-]), a duplicate, or a null factory.
-  void Register(EvictionPolicyInfo info, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide registry-name
-  /// space (core/registry_namespace.h); Global() enables it ("cache
-  /// eviction policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// A fresh instance of the policy registered under `name`; nullptr if
-  /// unknown.
-  [[nodiscard]] std::unique_ptr<EvictionPolicy> Create(
-      std::string_view name, std::uint64_t seed) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<EvictionPolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    EvictionPolicyInfo info;
-    Factory factory;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (a handful of policies) that a flat
-  // vector beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
+  /// A fresh policy. `seed` feeds randomized policies (cache-sample);
+  /// deterministic policies ignore it.
+  [[nodiscard]] virtual std::unique_ptr<EvictionPolicy> Create(
+      std::uint64_t seed) const = 0;
 };
+
+/// Name -> eviction-policy factory registry (core/registry.h). Global()
+/// claims its names as "cache eviction policy" in the cell-name space,
+/// so no cell can shadow them, although they are not cells themselves.
+using EvictionPolicyRegistry = core::Registry<EvictionPolicyFactory>;
+using EvictionPolicyRegistrar = EvictionPolicyRegistry::Registrar;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -225,13 +173,9 @@ class EvictionPolicyRegistry {
 /// Global() calls this once; tests use it to build fresh registries.
 void RegisterBuiltinEvictionPolicies(EvictionPolicyRegistry& registry);
 
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct EvictionPolicyRegistrar {
-  EvictionPolicyRegistrar(EvictionPolicyInfo info,
-                          EvictionPolicyRegistry::Factory factory);
-};
-
 }  // namespace rtmp::cache
+
+namespace rtmp::core {
+template <>
+cache::EvictionPolicyRegistry& cache::EvictionPolicyRegistry::Global();
+}  // namespace rtmp::core

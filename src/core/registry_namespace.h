@@ -1,23 +1,24 @@
 // Cross-registry name arbitration for the experiment engine's cell-name
 // space.
 //
-// Placement strategies (core/strategy_registry.h), online policies
-// (online/policy.h) and serve policies (serve/serve_policy.h) are all
-// addressed through ONE flat name space: sim::RunCell resolves a cell
-// name through the registries in order, CLI arguments and report keys
+// Placement strategies, online policies, serve policies and cache
+// policies are all addressed through ONE flat name space: sim::RunCell
+// resolves a cell name to its kind here, CLI arguments and report keys
 // carry bare names, and a name living in two registries would silently
-// shadow. Each registry rejects the collisions it can see (the online
-// registry consults the strategy registry directly), but the registries
-// live in different layers — core cannot ask the serve layer anything —
-// so pairwise checks cannot cover every registration order.
+// shadow. The registries live in different layers — core cannot ask the
+// serve layer anything — so no registry can check the others itself.
 //
-// RegistryNamespace closes the gap: the process-wide (Global())
-// instances of the registries claim every name here at registration
-// time, tagged with their kind, and claiming a name held by a DIFFERENT
-// kind throws — whichever side registers second fails fast. Fresh
-// registry instances built by tests do NOT claim: the shared name space
-// belongs to the singletons, and re-registering built-in names into a
-// local registry must stay legal.
+// The process-wide (Global()) instances of those registries claim every
+// name here at registration time, tagged with their kind (see
+// core/registry.h), and claiming a name held by a DIFFERENT kind throws
+// — whichever side registers second fails fast. Each Global() first
+// builds the Global()s of the layers below it (strategies, then online
+// policies, then serve and cache policies), so their built-ins are
+// claimed before any name registered higher up. Eviction policies claim
+// too, so no cell can shadow one. Fresh registry instances built by
+// tests do NOT claim: the shared name space belongs to the singletons,
+// and re-registering built-in names into a local registry must stay
+// legal.
 #pragma once
 
 #include <mutex>
@@ -27,6 +28,15 @@
 #include <vector>
 
 namespace rtmp::core {
+
+/// The kinds that claim names in RegistryNamespace::Global().
+namespace cell_kind {
+inline constexpr const char* kStrategy = "strategy";
+inline constexpr const char* kOnlinePolicy = "online policy";
+inline constexpr const char* kServePolicy = "serve policy";
+inline constexpr const char* kCachePolicy = "cache policy";
+inline constexpr const char* kEvictionPolicy = "cache eviction policy";
+}  // namespace cell_kind
 
 class RegistryNamespace {
  public:

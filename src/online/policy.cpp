@@ -1,13 +1,8 @@
 #include "online/policy.h"
 
-#include <algorithm>
-#include <cctype>
-#include <stdexcept>
 #include <utility>
 
-#include "core/registry_namespace.h"
 #include "core/strategy_registry.h"
-#include "util/strings.h"
 
 namespace rtmp::online {
 
@@ -106,118 +101,21 @@ std::shared_ptr<const OnlinePolicy> MakeFixedPolicy(OnlinePolicyInfo info,
                                              std::move(config));
 }
 
-OnlinePolicyRegistry& OnlinePolicyRegistry::Global() {
-  static OnlinePolicyRegistry* registry = [] {
-    // Leaked: outlives OnlinePolicyRegistrar uses in static
-    // destructors.
-    // NOLINTNEXTLINE(rtmlint:naked-new): leaked Global() singleton.
-    auto* r = new OnlinePolicyRegistry();
-    r->ClaimCellNamespace("online policy");
-    RegisterBuiltinOnlinePolicies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void OnlinePolicyRegistry::Register(std::string name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("OnlinePolicyRegistry: null factory for '" +
-                                name + "'");
-  }
-  std::string key = util::ToLower(name);
-  // Policy names share the experiment engine's strategy-name space
-  // (cells, CLI arguments, report keys): same charset, and no collision
-  // with a registered strategy.
-  const auto valid_char = [](unsigned char c) {
-    return std::isalnum(c) != 0 || c == '-' || c == '_' || c == '.';
-  };
-  if (key.empty() || !std::all_of(key.begin(), key.end(), valid_char)) {
-    throw std::invalid_argument("OnlinePolicyRegistry: invalid name '" +
-                                name + "'");
-  }
-  if (core::StrategyRegistry::Global().Contains(key)) {
-    throw std::invalid_argument(
-        "OnlinePolicyRegistry: '" + key +
-        "' is already a registered placement strategy");
-  }
-  if (namespace_kind_ != nullptr) {
-    core::RegistryNamespace::Global().Claim(key, namespace_kind_);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != entries_.end() && it->first == key) {
-    throw std::invalid_argument("OnlinePolicyRegistry: duplicate policy '" +
-                                key + "'");
-  }
-  entries_.insert(it, {std::move(key), Entry{std::move(factory), nullptr}});
-}
-
-const OnlinePolicyRegistry::Entry* OnlinePolicyRegistry::FindEntry(
-    const std::string& key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-std::shared_ptr<const OnlinePolicy> OnlinePolicyRegistry::Find(
-    std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* entry = FindEntry(key);
-    if (entry == nullptr) return nullptr;
-    if (entry->instance) return entry->instance;
-    factory = entry->factory;
-  }
-  // Run the factory unlocked: factories may consult the registries.
-  auto instance = factory();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = FindEntry(key);
-  if (entry == nullptr) return instance;
-  if (!entry->instance) entry->instance = std::move(instance);
-  return entry->instance;
-}
-
-std::optional<OnlinePolicyInfo> OnlinePolicyRegistry::Describe(
-    std::string_view name) const {
-  const auto policy = Find(name);
-  if (!policy) return std::nullopt;
-  return policy->Describe();
-}
-
-bool OnlinePolicyRegistry::Contains(std::string_view name) const {
-  const std::string key = util::ToLower(name);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return FindEntry(key) != nullptr;
-}
-
-std::vector<std::string> OnlinePolicyRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(key);
-  return names;
-}
-
-std::size_t OnlinePolicyRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void RegisterBuiltinOnlinePolicies(OnlinePolicyRegistry& registry) {
   RegisterFamily(registry, "dma-sr");
   RegisterFamily(registry, "afd-ofu");
 }
 
-OnlinePolicyRegistrar::OnlinePolicyRegistrar(
-    std::string name, OnlinePolicyRegistry::Factory factory) {
-  OnlinePolicyRegistry::Global().Register(std::move(name),
-                                          std::move(factory));
-}
-
 }  // namespace rtmp::online
+
+namespace rtmp::core {
+template <>
+online::OnlinePolicyRegistry& online::OnlinePolicyRegistry::Global() {
+  // The strategies claim their names first, so a policy registered under
+  // a strategy's name is rejected at its registration.
+  (void)StrategyRegistry::Global();
+  static online::OnlinePolicyRegistry& registry = MakeGlobal(
+      cell_kind::kOnlinePolicy, online::RegisterBuiltinOnlinePolicies);
+  return registry;
+}
+}  // namespace rtmp::core

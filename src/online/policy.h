@@ -1,25 +1,20 @@
 // Online-policy registry: the name-keyed dispatch layer for online
-// placement policies, mirroring the strategy registry (solution side)
-// and the workload registry (input side).
+// placement policies (core/registry.h).
 //
 // An online policy is a named OnlineConfig recipe: which registry
 // strategy re-seeds the placement, which phase detector triggers
 // re-placement, how large the windows are, and whether migration is
 // charged. Policies enter the evaluation matrix by name exactly like
-// strategies do — sim::RunCell resolves a name it does not find in the
-// strategy registry here, so `ExperimentOptions::extra_strategies`,
-// `rtmbench` scenarios and `placement_explorer online` all accept policy
-// names interchangeably with strategy names.
+// strategies do — sim::RunCell runs an online-policy name as an online
+// cell, so `ExperimentOptions::extra_strategies`, `rtmbench` scenarios
+// and `placement_explorer online` all accept policy names
+// interchangeably with strategy names.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "core/registry.h"
 #include "online/engine.h"
 
 namespace rtmp::online {
@@ -51,70 +46,10 @@ class OnlinePolicy {
   [[nodiscard]] virtual OnlineConfig MakeConfig() const = 0;
 };
 
-/// Name -> factory registry. Lookups are case-insensitive (names are
-/// normalized to lowercase); construction is lazy and the instance is
-/// cached. All members are thread-safe. Deliberately the same shape as
-/// core::StrategyRegistry and workloads::WorkloadRegistry.
-class OnlinePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const OnlinePolicy>()>;
-
-  OnlinePolicyRegistry() = default;
-  OnlinePolicyRegistry(const OnlinePolicyRegistry&) = delete;
-  OnlinePolicyRegistry& operator=(const OnlinePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in
-  /// policies (see RegisterBuiltinOnlinePolicies).
-  [[nodiscard]] static OnlinePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered policy OR with a
-  /// registered placement strategy (the registries share the experiment
-  /// engine's name space; see core/registry_namespace.h for the
-  /// process-wide arbitration covering serve policies too).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); same contract as
-  /// core::StrategyRegistry::ClaimCellNamespace — Global() enables it
-  /// ("online policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const OnlinePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<OnlinePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const OnlinePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
-};
+/// Name -> online-policy registry (core/registry.h). Global() claims
+/// its names as "online policy" in the cell-name space.
+using OnlinePolicyRegistry = core::Registry<OnlinePolicy>;
+using OnlinePolicyRegistrar = OnlinePolicyRegistry::Registrar;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -137,13 +72,9 @@ void RegisterBuiltinOnlinePolicies(OnlinePolicyRegistry& registry);
 [[nodiscard]] std::shared_ptr<const OnlinePolicy> MakeFixedPolicy(
     OnlinePolicyInfo info, OnlineConfig config);
 
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct OnlinePolicyRegistrar {
-  OnlinePolicyRegistrar(std::string name,
-                        OnlinePolicyRegistry::Factory factory);
-};
-
 }  // namespace rtmp::online
+
+namespace rtmp::core {
+template <>
+online::OnlinePolicyRegistry& online::OnlinePolicyRegistry::Global();
+}  // namespace rtmp::core

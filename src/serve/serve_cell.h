@@ -10,8 +10,7 @@
 // golden and ResultTable.
 //
 // sim::RunCell dispatches here for any name that resolves in the
-// serve-policy registry (after the strategy and online-policy
-// registries miss), which is what lets ExperimentOptions::
+// serve-policy registry, which is what lets ExperimentOptions::
 // extra_strategies mix serve policies into RunMatrix grids.
 #pragma once
 

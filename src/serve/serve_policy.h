@@ -1,23 +1,18 @@
-// Serve-policy registry: named multi-tenant service recipes, the third
-// member of the experiment cell-name space after placement strategies
-// (core/strategy_registry.h) and online policies (online/policy.h).
+// Serve-policy registry: named multi-tenant service recipes, one kind
+// of the experiment cell-name space (core/registry_namespace.h).
 //
 // A serve policy is a ServeConfig recipe: how many shards the device is
 // partitioned into, which online policy drives each shard's engine, and
-// how tight the global migration budget is. sim::RunCell resolves a name
-// that neither the strategy nor the online-policy registry knows here,
-// so serve policies enter RunMatrix grids, rtmbench scenarios and
-// placement_explorer exactly like any other cell name.
+// how tight the global migration budget is. sim::RunCell runs a
+// serve-policy name as a serve cell, so serve policies enter RunMatrix
+// grids, rtmbench scenarios and placement_explorer exactly like any
+// other cell name.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "core/registry.h"
 #include "serve/service.h"
 
 namespace rtmp::serve {
@@ -51,69 +46,10 @@ class ServePolicy {
   [[nodiscard]] virtual ServeConfig MakeConfig() const = 0;
 };
 
-/// Name -> factory registry, deliberately the same shape as
-/// online::OnlinePolicyRegistry (lowercase keys, lazy cached instances,
-/// thread-safe throughout).
-class ServePolicyRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<const ServePolicy>()>;
-
-  ServePolicyRegistry() = default;
-  ServePolicyRegistry(const ServePolicyRegistry&) = delete;
-  ServePolicyRegistry& operator=(const ServePolicyRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-in policies
-  /// (see RegisterBuiltinServePolicies).
-  [[nodiscard]] static ServePolicyRegistry& Global();
-
-  /// Registers `factory` under `name` (normalized to lowercase). Throws
-  /// std::invalid_argument if the name is empty, contains characters
-  /// outside [a-z0-9._-], collides with a registered serve policy, a
-  /// registered placement strategy, or a registered online policy (all
-  /// three registries share the experiment cell-name space; see
-  /// core/registry_namespace.h).
-  void Register(std::string name, Factory factory);
-
-  /// Marks this instance as an owner in the process-wide cell-name space
-  /// (core/registry_namespace.h); same contract as
-  /// core::StrategyRegistry::ClaimCellNamespace — Global() enables it
-  /// ("serve policy"), fresh test instances leave it off.
-  void ClaimCellNamespace(const char* kind) noexcept {
-    namespace_kind_ = kind;
-  }
-
-  /// The policy registered under `name`; nullptr if unknown.
-  [[nodiscard]] std::shared_ptr<const ServePolicy> Find(
-      std::string_view name) const;
-
-  /// Metadata of the policy registered under `name`; nullopt if unknown.
-  [[nodiscard]] std::optional<ServePolicyInfo> Describe(
-      std::string_view name) const;
-
-  [[nodiscard]] bool Contains(std::string_view name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Entry {
-    Factory factory;
-    /// Constructed on first lookup, under mutex_.
-    mutable std::shared_ptr<const ServePolicy> instance;
-  };
-
-  /// Requires mutex_ to be held by the caller.
-  [[nodiscard]] const Entry* FindEntry(const std::string& key) const;
-
-  mutable std::mutex mutex_;
-  // Sorted by key; small enough (tens of policies) that a flat vector
-  // beats a map.
-  std::vector<std::pair<std::string, Entry>> entries_;
-  /// Non-null only for Global() (see ClaimCellNamespace).
-  const char* namespace_kind_ = nullptr;
-};
+/// Name -> serve-policy registry (core/registry.h). Global() claims its
+/// names as "serve policy" in the cell-name space.
+using ServePolicyRegistry = core::Registry<ServePolicy>;
+using ServePolicyRegistrar = ServePolicyRegistry::Registrar;
 
 /// Registers the built-in policies into `registry`:
 ///
@@ -135,12 +71,9 @@ void RegisterBuiltinServePolicies(ServePolicyRegistry& registry);
 [[nodiscard]] std::shared_ptr<const ServePolicy> MakeFixedServePolicy(
     ServePolicyInfo info, ServeConfig config);
 
-/// RAII self-registration into the Global() registry, for policies
-/// defined outside this library. Same linker caveat as
-/// core::StrategyRegistrar: keep registrars in a translation unit that
-/// is otherwise linked in.
-struct ServePolicyRegistrar {
-  ServePolicyRegistrar(std::string name, ServePolicyRegistry::Factory factory);
-};
-
 }  // namespace rtmp::serve
+
+namespace rtmp::core {
+template <>
+serve::ServePolicyRegistry& serve::ServePolicyRegistry::Global();
+}  // namespace rtmp::core

@@ -16,6 +16,7 @@
 
 #include "cache/cache_cell.h"
 #include "cache/cache_policy.h"
+#include "core/registry_namespace.h"
 #include "core/strategy_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -98,6 +99,35 @@ std::string StreamedBenchmarkName(const std::string& path) {
   std::string name = trace::PeekTraceBenchmark(in);
   if (name.empty()) name = std::filesystem::path(path).stem().string();
   return name;
+}
+
+/// Which registry runs a cell name. core::RegistryNamespace::Global()
+/// is the one arbiter: every cell registry's Global() claims its names
+/// there under its kind, so a name has at most one kind.
+enum class CellKind { kNone, kStrategy, kOnline, kServe, kCache };
+
+CellKind LookupCellKind(std::string_view name) {
+  // The Global() registries are built (and claim their built-ins) on
+  // first use; force all four so that a lookup made as a process's
+  // first call sees every name.
+  (void)core::StrategyRegistry::Global();
+  (void)online::OnlinePolicyRegistry::Global();
+  (void)serve::ServePolicyRegistry::Global();
+  (void)cache::CachePolicyRegistry::Global();
+  const std::string owner =
+      core::RegistryNamespace::Global().OwnerOf(util::ToLower(name));
+  if (owner == core::cell_kind::kStrategy) return CellKind::kStrategy;
+  if (owner == core::cell_kind::kOnlinePolicy) return CellKind::kOnline;
+  if (owner == core::cell_kind::kServePolicy) return CellKind::kServe;
+  if (owner == core::cell_kind::kCachePolicy) return CellKind::kCache;
+  return CellKind::kNone;  // unknown, or not a cell (an eviction policy)
+}
+
+std::invalid_argument NotACell(const char* where, std::string_view name) {
+  return std::invalid_argument(
+      std::string(where) + ": '" + std::string(name) +
+      "' is neither a registered strategy, an online policy, a serve "
+      "policy, nor a cache policy");
 }
 
 }  // namespace
@@ -196,42 +226,21 @@ RunResult RunResultFromJson(const util::JsonValue& value) {
 RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
                   std::string_view strategy_name,
                   const ExperimentOptions& options) {
-  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
-  const bool is_online =
-      online::OnlinePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_serve =
-      serve::ServePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_cache =
-      cache::CachePolicyRegistry::Global().Contains(strategy_name);
-  // The registries reject cross-registry collisions at registration
-  // (enforced process-wide by core::RegistryNamespace for the Global()
-  // instances), but a name registered AFTER its twin would silently
-  // shadow it here — refuse to guess which one the caller meant.
-  if ((runner != nullptr) + is_online + is_serve + is_cache > 1) {
-    throw std::invalid_argument(
-        "RunCell: '" + std::string(strategy_name) +
-        "' is registered in more than one of the strategy, online-policy, "
-        "serve-policy and cache-policy registries; re-register one under a "
-        "distinct name");
+  const CellKind kind = LookupCellKind(strategy_name);
+  if (kind == CellKind::kOnline) {
+    return online::RunOnlineCell(benchmark, dbcs, strategy_name, options);
   }
-  if (!runner) {
-    // Online, serve and cache policies share the strategy name space: a
-    // miss here is one of their cells when those registries know the
-    // name.
-    if (is_online) {
-      return online::RunOnlineCell(benchmark, dbcs, strategy_name, options);
-    }
-    if (is_serve) {
-      return serve::RunServeCell(benchmark, dbcs, strategy_name, options);
-    }
-    if (is_cache) {
-      return cache::RunCacheCell(benchmark, dbcs, strategy_name, options);
-    }
-    throw std::invalid_argument(
-        "RunCell: '" + std::string(strategy_name) +
-        "' is neither a registered strategy, an online policy, a serve "
-        "policy, nor a cache policy");
+  if (kind == CellKind::kServe) {
+    return serve::RunServeCell(benchmark, dbcs, strategy_name, options);
   }
+  if (kind == CellKind::kCache) {
+    return cache::RunCacheCell(benchmark, dbcs, strategy_name, options);
+  }
+  const auto runner =
+      kind == CellKind::kStrategy
+          ? core::StrategyRegistry::Global().Find(strategy_name)
+          : nullptr;
+  if (!runner) throw NotACell("RunCell", strategy_name);
 
   RunResult run;
   run.benchmark = benchmark.name;
@@ -252,32 +261,26 @@ RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
 RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
                                std::string_view strategy_name,
                                const ExperimentOptions& options) {
-  const auto runner = core::StrategyRegistry::Global().Find(strategy_name);
-  const bool is_online =
-      online::OnlinePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_serve =
-      serve::ServePolicyRegistry::Global().Contains(strategy_name);
-  const bool is_cache =
-      cache::CachePolicyRegistry::Global().Contains(strategy_name);
-  if ((runner != nullptr) + is_online + is_serve + is_cache > 1) {
-    throw std::invalid_argument(
-        "RunStreamedTraceCell: '" + std::string(strategy_name) +
-        "' is registered in more than one of the strategy, online-policy, "
-        "serve-policy and cache-policy registries; re-register one under a "
-        "distinct name");
-  }
-  if (is_serve) {
+  const CellKind kind = LookupCellKind(strategy_name);
+  if (kind == CellKind::kServe) {
     // A serve cell arbitrates its tenants' sequences against each other,
     // so it needs the whole benchmark at once: materialize this one cell.
     const std::vector<std::string> spec{path};
     const auto suite = LoadWorkloads(spec, options);
     return serve::RunServeCell(suite.front(), dbcs, strategy_name, options);
   }
-  if (runner == nullptr && !is_online && !is_cache) {
-    throw std::invalid_argument(
-        "RunStreamedTraceCell: '" + std::string(strategy_name) +
-        "' is neither a registered strategy, an online policy, a serve "
-        "policy, nor a cache policy");
+  std::shared_ptr<const core::PlacementStrategy> runner;
+  std::shared_ptr<const online::OnlinePolicy> online_policy;
+  std::shared_ptr<const cache::CachePolicy> cache_policy;
+  if (kind == CellKind::kStrategy) {
+    runner = core::StrategyRegistry::Global().Find(strategy_name);
+  } else if (kind == CellKind::kOnline) {
+    online_policy = online::OnlinePolicyRegistry::Global().Find(strategy_name);
+  } else if (kind == CellKind::kCache) {
+    cache_policy = cache::CachePolicyRegistry::Global().Find(strategy_name);
+  }
+  if (!runner && !online_policy && !cache_policy) {
+    throw NotACell("RunStreamedTraceCell", strategy_name);
   }
 
   RunResult run;
@@ -285,13 +288,6 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
   run.dbcs = dbcs;
   run.strategy_name = util::ToLower(strategy_name);
   if (runner) run.strategy = runner->Describe().spec;
-
-  const auto online_policy =
-      is_online ? online::OnlinePolicyRegistry::Global().Find(strategy_name)
-                : nullptr;
-  const auto cache_policy =
-      is_cache ? cache::CachePolicyRegistry::Global().Find(strategy_name)
-               : nullptr;
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {

@@ -170,14 +170,13 @@ struct ExperimentOptions {
     std::span<const std::string> workload_specs,
     const ExperimentOptions& options);
 
-/// Runs one benchmark / strategy / DBC-count cell. The name is resolved
-/// through StrategyRegistry::Global() first and, on a miss, through
-/// online::OnlinePolicyRegistry::Global(),
-/// serve::ServePolicyRegistry::Global() and then
-/// cache::CachePolicyRegistry::Global() (online, serve and cache
-/// policies are cells like any other — see online/online_cell.h,
-/// serve/serve_cell.h and cache/cache_cell.h); throws
-/// std::invalid_argument if no registry knows it.
+/// Runs one benchmark / strategy / DBC-count cell. The name's kind —
+/// strategy, online, serve or cache policy — comes from the cell-name
+/// space (core/registry_namespace.h), and the cell runs through that
+/// kind's Global() registry (online, serve and cache policies are cells
+/// like any other — see online/online_cell.h, serve/serve_cell.h and
+/// cache/cache_cell.h). Throws std::invalid_argument if the name is not
+/// a cell, and std::logic_error if its registered factory returns null.
 [[nodiscard]] RunResult RunCell(const offsetstone::Benchmark& benchmark,
                                 unsigned dbcs,
                                 std::string_view strategy_name,

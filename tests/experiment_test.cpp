@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "core/cost_model.h"
 #include "core/strategy_registry.h"
+#include "online/policy.h"
 #include "sim/experiment.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
@@ -319,6 +321,49 @@ TEST(Experiment, RunCellRejectsUnregisteredStrategies) {
   bogus.inter = static_cast<core::InterPolicy>(250);
   EXPECT_THROW((void)RunCell(b, 2, bogus, FastOptions()),
                std::invalid_argument);
+  // Eviction-policy names live in the cell-name space but are not cells.
+  EXPECT_THROW((void)RunCell(b, 2, "cache-lru", FastOptions()),
+               std::invalid_argument);
+}
+
+/// Writes a one-sequence text trace and returns its path.
+std::string WriteTinyTrace(const char* file_name) {
+  const std::string path = ::testing::TempDir() + file_name;
+  std::ofstream out(path);
+  out << "benchmark tiny\nsequence s0\na b a! c\n";
+  return path;
+}
+
+// A registered online policy whose factory returns null: both cell entry
+// points report the broken registration as a logic error (not as an
+// unregistered name, and without dereferencing the null policy).
+const online::OnlinePolicyRegistrar kNullPolicyRegistrar{
+    "experiment-test-null-policy",
+    [] { return std::shared_ptr<const online::OnlinePolicy>(); }};
+
+void ExpectNullFactoryError(const std::function<void()>& run) {
+  try {
+    run();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& error) {
+    ADD_FAILURE() << "invalid_argument: " << error.what();
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("returned null"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Experiment, NullPolicyFactoryIsALogicErrorInBothCellPaths) {
+  const offsetstone::Benchmark b = TinyBenchmark("x", "abab");
+  const std::string path = WriteTinyTrace("rtmplace_null_policy.trace");
+  ExpectNullFactoryError([&] {
+    (void)RunCell(b, 2, "experiment-test-null-policy", FastOptions());
+  });
+  ExpectNullFactoryError([&] {
+    (void)RunStreamedTraceCell(path, 2, "experiment-test-null-policy",
+                               FastOptions());
+  });
 }
 
 /// A multi-sequence trace with uneven variable counts and a write mix:

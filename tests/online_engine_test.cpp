@@ -581,24 +581,17 @@ TEST(OnlinePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
     EXPECT_TRUE(core::StrategyRegistry::Global().Contains(
         info->reseed_strategy));
   }
-  // Case-insensitive, like the other registries.
-  EXPECT_TRUE(registry.Contains("Online-EWMA-DMA-SR"));
 }
 
-TEST(OnlinePolicyRegistry, RejectsCollisionsAndBadNames) {
-  online::OnlinePolicyRegistry registry;
+TEST(OnlinePolicyRegistry, GlobalRejectsStrategyNames) {
+  // Strategy names are off limits: the registries share the experiment
+  // engine's cell-name space (core/registry_namespace.h).
   const auto factory = [] {
     return online::MakeFixedPolicy({"p", "test", "dma-sr", "none"}, {});
   };
-  EXPECT_THROW(registry.Register("has space", factory),
+  EXPECT_THROW((online::OnlinePolicyRegistrar{"dma-sr", factory}),
                std::invalid_argument);
-  EXPECT_THROW(registry.Register("", factory), std::invalid_argument);
-  // Strategy names are off limits: the two registries share the
-  // experiment engine's name space.
-  EXPECT_THROW(registry.Register("dma-sr", factory), std::invalid_argument);
-  registry.Register("my-policy", factory);
-  EXPECT_THROW(registry.Register("MY-POLICY", factory),
-               std::invalid_argument);
+  EXPECT_FALSE(online::OnlinePolicyRegistry::Global().Contains("dma-sr"));
 }
 
 // ---- engine edge cases ---------------------------------------------------

@@ -679,28 +679,6 @@ TEST(ServePolicyRegistry, BuiltinsAreRegisteredAndResolvable) {
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->MakeConfig().num_shards, info->shards);
   }
-  // Case-insensitive, like the other registries.
-  EXPECT_TRUE(registry.Contains("Serve-2S-EWMA-DMA-SR"));
-}
-
-TEST(ServePolicyRegistry, RejectsCollisionsAndBadNames) {
-  serve::ServePolicyRegistry registry;
-  const auto factory = [] {
-    return serve::MakeFixedServePolicy(
-        {"p", "test", "online-static-dma-sr", 1, "unlimited"}, {});
-  };
-  EXPECT_THROW(registry.Register("has space", factory),
-               std::invalid_argument);
-  EXPECT_THROW(registry.Register("", factory), std::invalid_argument);
-  // Strategy and online-policy names are off limits: the three
-  // registries share the experiment engine's cell-name space.
-  EXPECT_THROW(registry.Register("dma-sr", factory),
-               std::invalid_argument);
-  EXPECT_THROW(registry.Register("online-ewma-dma-sr", factory),
-               std::invalid_argument);
-  registry.Register("my-serve-policy", factory);
-  EXPECT_THROW(registry.Register("MY-SERVE-POLICY", factory),
-               std::invalid_argument);
 }
 
 TEST(ServePolicyRegistry, GlobalNamespaceArbitratesAcrossRegistries) {
@@ -713,21 +691,20 @@ TEST(ServePolicyRegistry, GlobalNamespaceArbitratesAcrossRegistries) {
   const auto online_factory = [] {
     return online::MakeFixedPolicy({"p", "test", "dma-sr", "none"}, {});
   };
-  // The direct Register() call is exactly what must throw here.
-  // NOLINTNEXTLINE(rtmlint:registry-discipline): negative collision test.
-  EXPECT_THROW(online::OnlinePolicyRegistry::Global().Register(
-                   "serve-1s-static-dma-sr", online_factory),
+  EXPECT_THROW((online::OnlinePolicyRegistrar{"serve-1s-static-dma-sr",
+                                              online_factory}),
                std::invalid_argument);
-  // And the reverse direction through the serve registry's own check.
+  // Nor can a serve policy take a strategy or an online-policy name.
   const auto serve_factory = [] {
     return serve::MakeFixedServePolicy(
         {"p", "test", "online-static-dma-sr", 1, "unlimited"}, {});
   };
-  // The direct Register() call is exactly what must throw here.
-  // NOLINTNEXTLINE(rtmlint:registry-discipline): negative collision test.
-  EXPECT_THROW(serve::ServePolicyRegistry::Global().Register(
-                   "online-ewma-dma-sr", serve_factory),
-               std::invalid_argument);
+  for (const char* taken : {"dma-sr", "online-ewma-dma-sr"}) {
+    EXPECT_THROW((serve::ServePolicyRegistrar{taken, serve_factory}),
+                 std::invalid_argument)
+        << taken;
+    EXPECT_FALSE(serve::ServePolicyRegistry::Global().Contains(taken));
+  }
 }
 
 // ---- fairness index ------------------------------------------------------

@@ -272,13 +272,13 @@ class UnorderedIterationRule final : public Rule {
 
 // ---- registry-discipline ---------------------------------------------------
 //
-// The experiment engine's cell-name space (strategies, online policies,
-// serve policies) is arbitrated by core::RegistryNamespace, and names
-// enter it only through the *Registrar RAII types — a bare
-// SomeRegistry::Global().Register() call in application code bypasses
-// the collision story those types encode. Files that implement a
-// registrar (FooRegistrar::FooRegistrar) are exempt: they are the
-// mechanism itself.
+// The experiment engine's cell-name space (strategies, online, serve and
+// cache policies) is arbitrated by core::RegistryNamespace, and names
+// enter the process-wide registries only through their *Registrar RAII
+// types — a bare SomeRegistry::Global().Register() call in application
+// code bypasses the collision story those types encode. The one file
+// that defines the mechanism itself, core::Registry<T>'s nested
+// Registrar (`Registry<T>::Registrar::Registrar`), is exempt.
 class RegistryDisciplineRule final : public Rule {
  public:
   const RuleInfo& Describe() const noexcept override {
@@ -292,13 +292,13 @@ class RegistryDisciplineRule final : public Rule {
   void Check(const SourceFile& file,
              std::vector<Finding>* out) const override {
     const Tokens& tokens = file.lex.tokens;
-    // A file defining FooRegistrar::FooRegistrar is a registrar
-    // implementation and may talk to Global() directly.
-    for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
-      if (tokens[i].kind == TokenKind::kIdentifier &&
-          EndsWith(tokens[i].text, "Registrar") &&
-          IsPunct(tokens[i + 1], "::") &&
-          tokens[i + 2].text == tokens[i].text) {
+    // The template's out-of-class Registrar constructor,
+    // `Registry<T>::Registrar::Registrar(`, may talk to Global().
+    for (std::size_t i = 0; i + 4 < tokens.size(); ++i) {
+      if (IsPunct(tokens[i], ">") && IsPunct(tokens[i + 1], "::") &&
+          IsIdent(tokens[i + 2], "Registrar") &&
+          IsPunct(tokens[i + 3], "::") &&
+          IsIdent(tokens[i + 4], "Registrar")) {
         return;
       }
     }
@@ -534,7 +534,7 @@ void RegisterBuiltinRules(RuleRegistry& registry) {
     using RuleType = decltype(make());
     auto instance = std::make_shared<const RuleType>();
     const RuleInfo& info = instance->Describe();
-    registry.Register(info.name, info.category,
+    registry.Register(info.name,
                       [instance]() -> std::shared_ptr<const Rule> {
                         return instance;
                       });
