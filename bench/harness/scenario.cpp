@@ -132,11 +132,16 @@ int RunLegacyAlias(std::string_view name) {
                  static_cast<int>(name.size()), name.data());
     return 2;
   }
-  const BenchReport report = RunScenario(*scenario, /*quiet=*/false);
-  for (const CheckResult& check : report.checks) {
-    if (check.fatal && !check.pass) return 1;
+  try {
+    const BenchReport report = RunScenario(*scenario, /*quiet=*/false);
+    for (const CheckResult& check : report.checks) {
+      if (check.fatal && !check.pass) return 1;
+    }
+    return 0;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "rtmbench: error: %s\n", error.what());
+    return 1;
   }
-  return 0;
 }
 
 // ---- shared helpers --------------------------------------------------------

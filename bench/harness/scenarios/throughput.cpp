@@ -63,6 +63,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 // ---- part A: GA mutation scoring (ex evaluator_speedup) --------------------
 
+// Each gated ratio is the median of kSamples interleaved A/B samples
+// taken after one warm-up pass per side, so that one descheduled or
+// cold sample cannot flip a gate.
+constexpr int kSamples = 9;
+
 constexpr std::uint32_t kDbcs = 8;
 constexpr int kFullTrials = 400;
 constexpr int kIncrementalTrials = 4000;
@@ -171,43 +176,68 @@ double RunMutationScoring(ScenarioContext& ctx) {
                             {core::IntraHeuristic::kShiftsReduce})
             .placement;
 
-    // -- full replay path --------------------------------------------------
-    util::Rng full_rng(0xBEEF);
-    // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
-    const auto full_start = std::chrono::steady_clock::now();
-    for (int t = 0; t < kFullTrials; ++t) {
-      sink += ScoreFull(*seq, base, DrawMutation(base, full_rng), cost);
-    }
-    const double full_rate = kFullTrials / SecondsSince(full_start);
-
-    // -- incremental path --------------------------------------------------
+    // One timed pass of each path over its re-seeded mutation stream;
+    // each returns its rate and adds its scores to `sum`.
     core::CostEvaluator evaluator(*seq, cost);
     evaluator.Bind(base);
-    util::Rng incr_rng(0xBEEF);
-    // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
-    const auto incr_start = std::chrono::steady_clock::now();
-    for (int t = 0; t < kIncrementalTrials; ++t) {
-      sink += ScoreIncremental(evaluator, DrawMutation(base, incr_rng));
+    const auto time_full = [&](std::uint64_t& sum) {
+      util::Rng rng(0xBEEF);
+      // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
+      const auto start = std::chrono::steady_clock::now();
+      for (int t = 0; t < kFullTrials; ++t) {
+        sum += ScoreFull(*seq, base, DrawMutation(base, rng), cost);
+      }
+      return kFullTrials / SecondsSince(start);
+    };
+    const auto time_incr = [&](std::uint64_t& sum) {
+      util::Rng rng(0xBEEF);
+      // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
+      const auto start = std::chrono::steady_clock::now();
+      for (int t = 0; t < kIncrementalTrials; ++t) {
+        sum += ScoreIncremental(evaluator, DrawMutation(base, rng));
+      }
+      return kIncrementalTrials / SecondsSince(start);
+    };
+
+    // The warm-up pass of each side feeds the sink; every timed sample
+    // must repeat its scores exactly.
+    std::uint64_t full_sum = 0;
+    std::uint64_t incr_sum = 0;
+    (void)time_full(full_sum);
+    (void)time_incr(incr_sum);
+    sink += full_sum + incr_sum;
+    bool match = true;
+    std::vector<double> full_rates;
+    std::vector<double> incr_rates;
+    std::vector<double> sample_speedups;
+    for (int s = 0; s < kSamples; ++s) {
+      std::uint64_t full_sample = 0;
+      std::uint64_t incr_sample = 0;
+      full_rates.push_back(time_full(full_sample));
+      incr_rates.push_back(time_incr(incr_sample));
+      sample_speedups.push_back(incr_rates.back() / full_rates.back());
+      match = match && full_sample == full_sum && incr_sample == incr_sum;
     }
-    const double incr_rate = kIncrementalTrials / SecondsSince(incr_start);
+    const double full_rate = util::Median(full_rates);
+    const double incr_rate = util::Median(incr_rates);
 
     // -- cross-check: every score of a common stream must agree exactly ---
     util::Rng check_rng(0x5EED);
-    bool match = true;
     for (int t = 0; t < kFullTrials && match; ++t) {
       const Mutation m = DrawMutation(base, check_rng);
       match = ScoreFull(*seq, base, m, cost) == ScoreIncremental(evaluator, m);
     }
     all_match = all_match && match;
 
-    const double speedup = incr_rate / full_rate;
+    const double speedup = util::Median(sample_speedups);
     speedups.push_back(speedup);
     ctx.Print("%-12s %8zu %6zu %14.0f %14.0f %8.1fx%s\n",
               benchmark.name.c_str(), seq->size(), seq->num_variables(),
               full_rate, incr_rate, speedup,
               match ? "" : "  COST MISMATCH");
-    ctx.Scalar("throughput/mutation/" + benchmark.name + "/incr_wall_evals_per_s",
-               incr_rate, "evals/s");
+    ctx.Scalar(
+        "throughput/mutation/" + benchmark.name + "/incr_wall_evals_per_s",
+        incr_rate, "evals/s");
   }
 
   const double geomean = util::GeoMean(speedups);
@@ -228,7 +258,8 @@ double RunMutationScoring(ScenarioContext& ctx) {
 // ---- part B: end-to-end window service -------------------------------------
 
 constexpr std::size_t kWindowAccesses = 256;
-/// Repeats are sized so each timed side serves about this many accesses.
+/// Repeats are sized so each sample of a side serves about this many
+/// accesses.
 constexpr std::size_t kTargetAccesses = 1'000'000;
 
 const char* const kServeBenchmarks[] = {"fft", "gzip", "jpeg"};
@@ -246,6 +277,31 @@ struct ServeTotals {
   std::uint64_t shifts = 0;
   std::uint64_t requests = 0;
 };
+
+/// The engine's transition summary as the pre-batching path built it:
+/// pack every consecutive pair, comparison-sort, run-length count.
+online::TransitionSummary SortingSummarizeTransitions(
+    std::span<const trace::Access> window) {
+  online::TransitionSummary summary;
+  if (window.size() < 2) return summary;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(window.size() - 1);
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    const std::uint64_t a = window[i - 1].variable;
+    const std::uint64_t b = window[i].variable;
+    keys.push_back((std::min(a, b) << 32) | std::max(a, b));
+  }
+  std::sort(keys.begin(), keys.end());
+  summary.weights.reserve(keys.size());
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    summary.weights.emplace_back(keys[i], j - i);
+    i = j;
+  }
+  summary.total = keys.size();
+  return summary;
+}
 
 /// Faithful replica of the pre-batching engine hot path, kept as the
 /// measured baseline. Per access: one Feed-style append into the rolling
@@ -275,7 +331,7 @@ class BaselineSession {
 
   void FlushWindow() {
     if (win_.empty()) return;
-    (void)detector_.Observe(online::SummarizeTransitions(win_.accesses()));
+    (void)detector_.Observe(SortingSummarizeTransitions(win_.accesses()));
     totals_.placement_cost += core::ShiftCost(win_, placement_, cost_);
     std::vector<rtm::TimedRequest> requests;
     requests.reserve(win_.size());
@@ -383,24 +439,31 @@ double RunWindowService(ScenarioContext& ctx) {
         std::max<std::size_t>(1, kTargetAccesses / seq->size());
 
     // Steady-state throughput: warm sessions (window 0's one-time re-seed
-    // already behind them), R passes of the same stream each.
+    // and one pass each already behind them), then interleaved samples of
+    // R passes of the same stream per side.
     BaselineSession baseline(*seq, reference.final_placement, device);
     baseline.ServePass(*seq);
-    // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
-    const auto base_start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < repeats; ++r) baseline.ServePass(*seq);
-    const double base_rate =
-        static_cast<double>(repeats * seq->size()) / SecondsSince(base_start);
-
     BatchedSession batched(*seq, device);
     batched.ServePass(*seq);
-    // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
-    const auto batch_start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < repeats; ++r) batched.ServePass(*seq);
-    const double batch_rate =
-        static_cast<double>(repeats * seq->size()) / SecondsSince(batch_start);
+    const auto time_passes = [&](auto& session) {
+      // NOLINTNEXTLINE(rtmlint:determinism-rng): throughput bench timing.
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < repeats; ++r) session.ServePass(*seq);
+      return static_cast<double>(repeats * seq->size()) /
+             SecondsSince(start);
+    };
+    std::vector<double> base_rates;
+    std::vector<double> batch_rates;
+    std::vector<double> sample_ratios;
+    for (int s = 0; s < kSamples; ++s) {
+      base_rates.push_back(time_passes(baseline));
+      batch_rates.push_back(time_passes(batched));
+      sample_ratios.push_back(batch_rates.back() / base_rates.back());
+    }
+    const double base_rate = util::Median(base_rates);
+    const double batch_rate = util::Median(batch_rates);
 
-    const double ratio = batch_rate / base_rate;
+    const double ratio = util::Median(sample_ratios);
     ratios.push_back(ratio);
     const std::size_t windows =
         (seq->size() + kWindowAccesses - 1) / kWindowAccesses;

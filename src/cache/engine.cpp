@@ -93,8 +93,8 @@ void CacheEngine::SetUpObs() {
 
 std::uint32_t CacheEngine::RegisterVariable(std::string_view name,
                                             std::uint32_t owner) {
-  const auto [it, inserted] =
-      ids_.emplace(std::string(name), static_cast<std::uint32_t>(names_.size()));
+  const auto [it, inserted] = ids_.emplace(
+      std::string(name), static_cast<std::uint32_t>(names_.size()));
   if (!inserted) return it->second;
   const std::uint32_t id = it->second;
   names_.emplace_back(name);

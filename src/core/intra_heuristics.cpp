@@ -16,20 +16,17 @@ namespace {
 
 constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
 
-/// Global -> local map entries: not a member of the DBC being built, a
-/// member not accessed (yet), or else the member's local id.
+/// Global -> local map entry of a variable outside the local problem.
 constexpr std::uint32_t kOutside = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint32_t kUnseen = kOutside - 1;
 
-/// Local view of one DBC's subproblem: dense local ids for the subset,
-/// frequencies and a CSR adjacency structure from the restricted accesses.
-/// Every neighbour list is ordered by ascending neighbour id.
+/// Local view of one DBC's subproblem: dense local ids for its accessed
+/// members, frequencies and a CSR adjacency structure from their
+/// accesses. Every neighbour list is ordered by ascending neighbour id.
 struct LocalProblem {
   std::vector<VariableId> globals;              // local -> global id
   std::vector<std::uint64_t> frequency;         // by local id
   std::vector<std::size_t> edge_begin;          // CSR offsets, size() + 1
   std::vector<trace::AccessGraph::Edge> edges;  // local neighbour ids
-  std::vector<VariableId> unused;               // subset vars never accessed
 
   [[nodiscard]] std::size_t size() const noexcept { return globals.size(); }
 
@@ -41,22 +38,20 @@ struct LocalProblem {
 
 /// Scratch for building the local problems of many DBCs in a row. The
 /// global -> local map is allocated once and every Build() resets only
-/// the entries of its own members, so a build costs
-/// O(|accesses| log |accesses| + |vars| log |vars|), independent of the
-/// size of the global variable space.
+/// the entries of the variables it saw, so a build costs
+/// O(|accesses| log |accesses|), independent of the size of the global
+/// variable space and of the DBC's never-accessed members.
 class LocalWorkspace {
  public:
   /// `to_local` must hold kOutside in every entry; it has to cover every
-  /// id that Build() will see in `accesses` or `vars`.
+  /// id that Build() will see in `accesses`.
   explicit LocalWorkspace(std::vector<std::uint32_t> to_local)
       : to_local_(std::move(to_local)) {}
 
-  /// Builds the local problem of `vars` over `accesses`, skipping accesses
-  /// to variables outside `vars`. Throws std::out_of_range for a member id
-  /// >= `num_variables`. The result stays valid until the next Build().
-  const LocalProblem& Build(std::span<const trace::Access> accesses,
-                            std::span<const VariableId> vars,
-                            std::size_t num_variables);
+  /// Builds the local problem of the variables accessed in `accesses`,
+  /// all of them members of the DBC being ordered. The result stays valid
+  /// until the next Build().
+  const LocalProblem& Build(std::span<const trace::Access> accesses);
 
  private:
   std::vector<std::uint32_t> to_local_;
@@ -67,19 +62,10 @@ class LocalWorkspace {
 };
 
 const LocalProblem& LocalWorkspace::Build(
-    std::span<const trace::Access> accesses, std::span<const VariableId> vars,
-    std::size_t num_variables) {
-  for (const VariableId v : vars) {
-    if (v >= num_variables) {
-      throw std::out_of_range("OrderVariables: variable id out of range");
-    }
-    to_local_[v] = kUnseen;
-  }
-
+    std::span<const trace::Access> accesses) {
   LocalProblem& local = local_;
   local.globals.clear();
   local.frequency.clear();
-  local.unused.clear();
   // Local ids by order of first access, for determinism. Transitions are
   // packed (lo, hi) pairs, sorted then run-length counted below: edge
   // weights accumulate in key order, so adjacency construction is
@@ -90,8 +76,7 @@ const LocalProblem& LocalWorkspace::Build(
   std::uint32_t prev = kOutside;
   for (const trace::Access& a : accesses) {
     std::uint32_t& slot = to_local_[a.variable];
-    if (slot == kOutside) continue;
-    if (slot == kUnseen) {
+    if (slot == kOutside) {
       slot = static_cast<std::uint32_t>(local.globals.size());
       local.globals.push_back(a.variable);
       local.frequency.push_back(0);
@@ -105,14 +90,8 @@ const LocalProblem& LocalWorkspace::Build(
     }
     prev = cur;
   }
-
-  // Subset variables never accessed, ascending id; then hand the map
-  // back clean.
-  for (const VariableId v : vars) {
-    if (to_local_[v] == kUnseen) local.unused.push_back(v);
-  }
-  std::sort(local.unused.begin(), local.unused.end());
-  for (const VariableId v : vars) to_local_[v] = kOutside;
+  // Hand the map back clean.
+  for (const VariableId v : local.globals) to_local_[v] = kOutside;
 
   // Compact the sorted transitions into distinct keys with weights and
   // count each vertex's degree.
@@ -148,20 +127,23 @@ const LocalProblem& LocalWorkspace::Build(
   return local;
 }
 
+/// The DBC's order: the local chain, then its never-accessed members
+/// (`unused`, ascending id).
 std::vector<VariableId> FinishOrder(const LocalProblem& local,
-                                    const std::vector<std::size_t>& sequence) {
+                                    const std::vector<std::size_t>& sequence,
+                                    std::span<const VariableId> unused) {
   std::vector<VariableId> order;
-  order.reserve(sequence.size() + local.unused.size());
+  order.reserve(sequence.size() + unused.size());
   for (const std::size_t l : sequence) order.push_back(local.globals[l]);
-  order.insert(order.end(), local.unused.begin(), local.unused.end());
+  order.insert(order.end(), unused.begin(), unused.end());
   return order;
 }
 
-std::vector<VariableId> OfuOrder(const LocalProblem& local) {
+std::vector<std::size_t> OfuChain(const LocalProblem& local) {
   // Local ids were assigned in first-access order already.
   std::vector<std::size_t> sequence(local.size());
   for (std::size_t i = 0; i < sequence.size(); ++i) sequence[i] = i;
-  return FinishOrder(local, sequence);
+  return sequence;
 }
 
 /// Seed vertex for the greedy heuristics: highest frequency, tie broken by
@@ -444,18 +426,20 @@ std::vector<std::size_t> ShiftsReduceChain(const LocalProblem& local) {
   return chain;
 }
 
-/// Orders one DBC from its local problem; `heuristic` is not kNone.
+/// Orders one DBC from its local problem and its never-accessed members;
+/// `heuristic` is not kNone.
 std::vector<VariableId> OrderLocal(IntraHeuristic heuristic,
-                                   const LocalProblem& local) {
+                                   const LocalProblem& local,
+                                   std::span<const VariableId> unused) {
   switch (heuristic) {
     case IntraHeuristic::kOfu:
-      return OfuOrder(local);
+      return FinishOrder(local, OfuChain(local), unused);
     case IntraHeuristic::kChen:
-      return FinishOrder(local, ChenChain(local));
+      return FinishOrder(local, ChenChain(local), unused);
     case IntraHeuristic::kShiftsReduce:
-      return FinishOrder(local, ShiftsReduceChain(local));
+      return FinishOrder(local, ShiftsReduceChain(local), unused);
     case IntraHeuristic::kGreedyEdge:
-      return FinishOrder(local, GreedyEdgeChain(local));
+      return FinishOrder(local, GreedyEdgeChain(local), unused);
     case IntraHeuristic::kNone:
       break;
   }
@@ -482,9 +466,30 @@ std::vector<VariableId> OrderVariables(IntraHeuristic heuristic,
   if (heuristic == IntraHeuristic::kNone) {
     return {vars.begin(), vars.end()};
   }
+  // Restrict the accesses to the members, then sort the never-accessed
+  // ones.
+  enum : char { kOther, kMember, kAccessed };
+  std::vector<char> state(num_variables, kOther);
+  for (const VariableId v : vars) {
+    if (v >= num_variables) {
+      throw std::out_of_range("OrderVariables: variable id out of range");
+    }
+    state[v] = kMember;
+  }
+  std::vector<trace::Access> restricted;
+  for (const trace::Access& a : accesses) {
+    if (state[a.variable] == kOther) continue;
+    state[a.variable] = kAccessed;
+    restricted.push_back(a);
+  }
+  std::vector<VariableId> unused;
+  for (const VariableId v : vars) {
+    if (state[v] == kMember) unused.push_back(v);
+  }
+  std::sort(unused.begin(), unused.end());
   LocalWorkspace workspace(
       std::vector<std::uint32_t>(num_variables, kOutside));
-  return OrderLocal(heuristic, workspace.Build(accesses, vars, num_variables));
+  return OrderLocal(heuristic, workspace.Build(restricted), unused);
 }
 
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
@@ -498,17 +503,25 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
   // order, the accesses of DBC first + b — exactly Restrict() of its
   // variable list. Reordering one DBC never changes another's members,
   // so the buckets stay valid while the loop below rewrites the range.
+  const std::size_t buckets = end - first;
   std::vector<std::uint32_t> bucket_of(
       std::max(seq.num_variables(), placement.num_variables()), kOutside);
   for (std::uint32_t d = first; d < end; ++d) {
     for (const VariableId v : placement.dbc(d)) bucket_of[v] = d - first;
   }
-  std::vector<std::size_t> bucket_begin(end - first + 1, 0);
+  std::vector<std::size_t> bucket_begin(buckets + 1, 0);
+  std::vector<char> accessed(bucket_of.size(), 0);
+  std::vector<std::size_t> accessed_members(buckets, 0);
   for (const trace::Access& a : seq.accesses()) {
     const std::uint32_t b = bucket_of[a.variable];
-    if (b != kOutside) ++bucket_begin[b + 1];
+    if (b == kOutside) continue;
+    ++bucket_begin[b + 1];
+    if (accessed[a.variable] == 0) {
+      accessed[a.variable] = 1;
+      ++accessed_members[b];
+    }
   }
-  for (std::size_t b = 1; b < bucket_begin.size(); ++b) {
+  for (std::size_t b = 1; b <= buckets; ++b) {
     bucket_begin[b] += bucket_begin[b - 1];
   }
   std::vector<trace::Access> bucketed(bucket_begin.back());
@@ -518,21 +531,41 @@ void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
     if (b != kOutside) bucketed[fill[b]++] = a;
   }
 
-  // The bucket map, cleared, becomes the workspace's global -> local map.
+  // The never-accessed members, bucketed the same way by one ascending-id
+  // sweep, so each DBC's come out sorted. The sweep also clears the bucket
+  // map, which then becomes the workspace's global -> local map. A member
+  // outside the sequence's variable space can only be a never-accessed
+  // one; it is an error in a DBC the loop below would order.
+  std::vector<std::size_t> unused_begin(buckets + 1, 0);
   for (std::uint32_t d = first; d < end; ++d) {
-    for (const VariableId v : placement.dbc(d)) bucket_of[v] = kOutside;
-  }
-  LocalWorkspace workspace(std::move(bucket_of));
-  const std::span<const trace::Access> all(bucketed);
-  for (std::uint32_t d = first; d < end; ++d) {
-    const auto& vars = placement.dbc(d);
-    if (vars.size() < 2) continue;
     const std::size_t b = d - first;
-    const std::span<const trace::Access> accesses =
-        all.subspan(bucket_begin[b], bucket_begin[b + 1] - bucket_begin[b]);
-    placement.Reorder(d, OrderLocal(heuristic,
-                                    workspace.Build(accesses, vars,
-                                                    seq.num_variables())));
+    unused_begin[b + 1] =
+        unused_begin[b] + placement.dbc(d).size() - accessed_members[b];
+  }
+  std::vector<VariableId> unused(unused_begin.back());
+  fill.assign(unused_begin.begin(), unused_begin.end() - 1);
+  for (VariableId v = 0; v < bucket_of.size(); ++v) {
+    const std::uint32_t b = bucket_of[v];
+    if (b == kOutside) continue;
+    bucket_of[v] = kOutside;
+    if (accessed[v] != 0) continue;
+    if (v >= seq.num_variables() && placement.dbc(first + b).size() >= 2) {
+      throw std::out_of_range("ApplyIntra: variable id out of range");
+    }
+    unused[fill[b]++] = v;
+  }
+
+  LocalWorkspace workspace(std::move(bucket_of));
+  for (std::uint32_t d = first; d < end; ++d) {
+    if (placement.dbc(d).size() < 2) continue;
+    const std::size_t b = d - first;
+    const std::span<const trace::Access> accesses(
+        bucketed.data() + bucket_begin[b],
+        bucketed.data() + bucket_begin[b + 1]);
+    const std::span<const VariableId> never_accessed(
+        unused.data() + unused_begin[b], unused.data() + unused_begin[b + 1]);
+    placement.Reorder(d, OrderLocal(heuristic, workspace.Build(accesses),
+                                    never_accessed));
   }
 }
 

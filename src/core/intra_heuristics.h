@@ -54,11 +54,13 @@ enum class IntraHeuristic { kNone, kOfu, kChen, kShiftsReduce, kGreedyEdge };
 /// using `heuristic`. Each DBC is ordered by OrderVariables on its own
 /// accesses, i.e. on exactly `seq.Restrict(placement.dbc(d))`; DBCs with
 /// fewer than two variables are left alone. One pass over `seq` buckets
-/// the accesses of every DBC in the range into one O(|seq| + variables)
-/// workspace, reused for every DBC: a DBC with accesses S_d and members
-/// V_d then costs O(|S_d| log |S_d| + |V_d| log |V_d|) to set up,
-/// independent of the registered variable count, plus the heuristic work.
-/// Throws std::out_of_range unless first <= end <= num_dbcs.
+/// the accesses of every DBC in the range, and one ascending-id sweep
+/// buckets their never-accessed members, into one O(|seq| + variables)
+/// workspace reused for every DBC: a DBC whose accesses S_d touch A_d
+/// members then costs O(|S_d| log |S_d|) to set up plus the heuristic's
+/// work on A_d, however many members it has. Throws std::out_of_range
+/// unless first <= end <= num_dbcs, and, before reordering anything, if
+/// a DBC to be ordered holds an id >= seq.num_variables().
 void ApplyIntra(IntraHeuristic heuristic, const trace::AccessSequence& seq,
                 Placement& placement, std::uint32_t first, std::uint32_t end);
 

@@ -64,7 +64,11 @@ class Placement {
   }
 
   /// Location of a placed variable; throws std::logic_error if unplaced.
-  [[nodiscard]] Slot SlotOf(VariableId v) const;
+  [[nodiscard]] Slot SlotOf(VariableId v) const {
+    const Slot slot = slots_.at(v);
+    if (slot.dbc == kUnplacedDbc) ThrowUnplaced();
+    return slot;
+  }
 
   /// True when every variable is placed.
   [[nodiscard]] bool IsComplete() const noexcept {
@@ -110,6 +114,8 @@ class Placement {
   }
 
  private:
+  [[noreturn]] static void ThrowUnplaced();
+
   static constexpr std::uint32_t kUnplacedDbc =
       std::numeric_limits<std::uint32_t>::max();
 

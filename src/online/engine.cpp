@@ -435,10 +435,9 @@ void OnlineEngine::ProcessWindow() {
   // skips the per-window transition summarization; Observe still runs to
   // keep the observed-window counter moving.
   const bool summarize = config_.detector.kind != DetectorKind::kNone;
-  const TransitionSummary summary =
-      summarize ? SummarizeTransitions(window_seq_.accesses())
-                : TransitionSummary{};
-  const PhaseDetector::Verdict verdict = detector_.Observe(summary);
+  const PhaseDetector::Verdict verdict = detector_.Observe(
+      summarize ? transitions_.Summarize(window_seq_.accesses())
+                : TransitionSummary{});
 
   if (!placed_) {
     placement_ = Reseed();
@@ -457,9 +456,13 @@ void OnlineEngine::ProcessWindow() {
                             controller_.stats().makespan_ns, args);
       }
       core::Placement candidate = Reseed();
+      // Decide on the estimate; only a migration that is realized gets
+      // its full plan (a rejected re-seed builds none).
+      const bool trim = config_.migration_fraction < 1.0 ||
+                        config_.migration_min_benefit > 0;
       MigrationPlan plan;
-      if (config_.migration_fraction < 1.0 ||
-          config_.migration_min_benefit > 0) {
+      MigrationEstimate estimate;
+      if (trim) {
         // Partial migration: realize only the highest-value moves of the
         // diff; candidate and plan become the trimmed pair.
         TrimmedMigration trimmed = TrimMigration(
@@ -468,31 +471,34 @@ void OnlineEngine::ProcessWindow() {
         result_.evaluations += trimmed.evaluations;
         candidate = std::move(trimmed.placement);
         plan = std::move(trimmed.plan);
+        estimate = {plan.moves.size(), plan.estimated_shifts};
       } else {
-        plan = PlanMigration(placement_, candidate);
+        estimate = EstimateMigration(placement_, candidate);
       }
-      if (!plan.empty()) {
+      if (!estimate.empty()) {
         bool accept = config_.always_accept_reseed;
         if (!accept) {
           // Migration-aware accept: the candidate must recoup its own
           // traffic within the window that triggered it.
-          core::CostEvaluator evaluator(window_seq_,
-                                        config_.strategy_options.cost);
-          const std::uint64_t cost_keep = evaluator.Evaluate(placement_);
-          const std::uint64_t cost_candidate = evaluator.Evaluate(candidate);
+          const core::CostOptions& cost = config_.strategy_options.cost;
+          const std::uint64_t cost_keep =
+              core::ShiftCost(window_seq_, placement_, cost);
+          const std::uint64_t cost_candidate =
+              core::ShiftCost(window_seq_, candidate, cost);
           result_.evaluations += 2;
           const std::uint64_t charge =
-              config_.charge_migration ? plan.estimated_shifts : 0;
+              config_.charge_migration ? estimate.estimated_shifts : 0;
           accept = cost_candidate + charge < cost_keep;
         }
         if (accept && config_.migration_gate &&
-            !config_.migration_gate(plan.estimated_shifts)) {
+            !config_.migration_gate(estimate.estimated_shifts)) {
           record.budget_denied = true;
           ++result_.budget_denials;
-          RecordBudgetDenialObs(plan.estimated_shifts);
+          RecordBudgetDenialObs(estimate.estimated_shifts);
           accept = false;
         }
         if (accept) {
+          if (!trim) plan = PlanMigration(placement_, candidate);
           ChargeMigration(plan, record);
           placement_ = std::move(candidate);
         }

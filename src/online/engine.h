@@ -319,6 +319,8 @@ class OnlineEngine {
   rtm::RtmConfig device_config_;
   rtm::RtmController controller_;
   PhaseDetector detector_;
+  /// Scratch of the per-window transition summary the detector reads.
+  TransitionWorkspace transitions_;
   PreServeHook pre_serve_hook_;
   /// The rolling window buffer: the variable space accumulates across
   /// the session (ids are feed order), the accesses are the CURRENT

@@ -9,22 +9,32 @@
 
 namespace rtmp::online {
 
-std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
-                                  trace::AccessType type,
-                                  std::vector<rtm::TimedRequest>& requests) {
-  std::uint64_t shifts = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0 && slots[i].dbc == slots[i - 1].dbc) {
-      shifts += slots[i].offset - slots[i - 1].offset;
-    }
-    requests.push_back(rtm::TimedRequest{0.0, slots[i].dbc, slots[i].offset,
-                                         type});
-  }
-  return shifts;
-}
+namespace {
 
-MigrationPlan PlanMigration(const core::Placement& from,
-                            const core::Placement& to) {
+/// First-access-free price of one ascending-offset sweep per DBC, fed
+/// slot by slot in (dbc, offset) order: each slot costs the distance from
+/// the previous slot of the same DBC.
+struct SweepPrice {
+  std::uint64_t shifts = 0;
+  bool started = false;
+  core::Slot last{};
+
+  void Add(core::Slot slot) {
+    if (started && slot.dbc == last.dbc) shifts += slot.offset - last.offset;
+    started = true;
+    last = slot;
+  }
+};
+
+/// Walks the `from` -> `to` diff: `read(v, old_slot, new_slot)` for each
+/// moved variable in read-sweep order, then, if anything moved,
+/// `write(new_slot)` for each in write-sweep order. Each (dbc, offset)
+/// holds exactly one variable, so walking `from` slot by slot yields the
+/// moves already in (from.dbc, from.offset) order, and walking `to` the
+/// same way yields their new slots in (dbc, offset) order.
+template <typename Read, typename Write>
+void WalkMigration(const core::Placement& from, const core::Placement& to,
+                   Read read, Write write) {
   if (from.num_variables() != to.num_variables()) {
     throw std::invalid_argument(
         "PlanMigration: placements cover different variable spaces");
@@ -36,10 +46,7 @@ MigrationPlan PlanMigration(const core::Placement& from,
   if (from.placed_count() != to.placed_count()) {
     throw std::invalid_argument(kPlacedInOne);
   }
-  MigrationPlan plan;
-  // Reads sweep each source DBC in ascending old-offset order. Each
-  // (dbc, offset) holds exactly one variable, so walking `from` slot by
-  // slot yields the moves already in (from.dbc, from.offset) order.
+  bool moved = false;
   for (std::uint32_t d = 0; d < from.num_dbcs(); ++d) {
     const auto& list = from.dbc(d);
     for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
@@ -47,32 +54,72 @@ MigrationPlan PlanMigration(const core::Placement& from,
       if (!to.IsPlaced(v)) throw std::invalid_argument(kPlacedInOne);
       const core::Slot old_slot{d, offset};
       const core::Slot new_slot = to.SlotOf(v);
-      if (old_slot != new_slot) plan.moves.push_back({v, old_slot, new_slot});
+      if (old_slot == new_slot) continue;
+      read(v, old_slot, new_slot);
+      moved = true;
     }
   }
-  if (plan.moves.empty()) return plan;
-
-  std::vector<core::Slot> slots;
-  slots.reserve(plan.moves.size());
-  for (const MigrationMove& move : plan.moves) slots.push_back(move.from);
-  plan.requests.reserve(2 * plan.moves.size());
-  plan.estimated_shifts +=
-      AppendSweepRequests(slots, trace::AccessType::kRead, plan.requests);
-
-  // ... then the buffered words are written in target-DBC sweeps: walking
-  // `to` the same way yields the moved variables' new slots in
-  // (dbc, offset) order.
-  slots.clear();
+  if (!moved) return;
   for (std::uint32_t d = 0; d < to.num_dbcs(); ++d) {
     const auto& list = to.dbc(d);
     for (std::uint32_t offset = 0; offset < list.size(); ++offset) {
       const core::Slot new_slot{d, offset};
-      if (from.SlotOf(list[offset]) != new_slot) slots.push_back(new_slot);
+      if (from.SlotOf(list[offset]) != new_slot) write(new_slot);
     }
   }
-  plan.estimated_shifts +=
-      AppendSweepRequests(slots, trace::AccessType::kWrite, plan.requests);
+}
+
+}  // namespace
+
+std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
+                                  trace::AccessType type,
+                                  std::vector<rtm::TimedRequest>& requests) {
+  SweepPrice price;
+  for (const core::Slot slot : slots) {
+    price.Add(slot);
+    requests.push_back(rtm::TimedRequest{0.0, slot.dbc, slot.offset, type});
+  }
+  return price.shifts;
+}
+
+MigrationPlan PlanMigration(const core::Placement& from,
+                            const core::Placement& to) {
+  // Reads sweep each source DBC in ascending old-offset order, then the
+  // buffered words are written in target-DBC sweeps.
+  MigrationPlan plan;
+  std::vector<core::Slot> writes;
+  WalkMigration(
+      from, to,
+      [&plan](trace::VariableId v, core::Slot old_slot, core::Slot new_slot) {
+        plan.moves.push_back({v, old_slot, new_slot});
+      },
+      [&writes](core::Slot new_slot) { writes.push_back(new_slot); });
+  if (plan.moves.empty()) return plan;
+
+  std::vector<core::Slot> reads;
+  reads.reserve(plan.moves.size());
+  for (const MigrationMove& move : plan.moves) reads.push_back(move.from);
+  plan.requests.reserve(2 * plan.moves.size());
+  plan.estimated_shifts =
+      AppendSweepRequests(reads, trace::AccessType::kRead, plan.requests) +
+      AppendSweepRequests(writes, trace::AccessType::kWrite, plan.requests);
   return plan;
+}
+
+MigrationEstimate EstimateMigration(const core::Placement& from,
+                                    const core::Placement& to) {
+  MigrationEstimate estimate;
+  SweepPrice reads;
+  SweepPrice writes;
+  WalkMigration(
+      from, to,
+      [&](trace::VariableId, core::Slot old_slot, core::Slot) {
+        ++estimate.moves;
+        reads.Add(old_slot);
+      },
+      [&writes](core::Slot new_slot) { writes.Add(new_slot); });
+  estimate.estimated_shifts = reads.shifts + writes.shifts;
+  return estimate;
 }
 
 std::uint64_t EstimatedSingleMoveShifts(std::uint32_t domains_per_dbc) {

@@ -16,7 +16,8 @@
 // so walking `from` DBC by DBC and offset by offset, keeping the variables
 // whose slot changed, yields the moves in read-sweep order; walking `to`
 // the same way yields the write slots in write-sweep order. A plan costs
-// O(placed variables), with no comparison sort.
+// O(placed variables), with no comparison sort; EstimateMigration makes
+// the same two walks without building anything.
 //
 // The estimate prices each per-DBC sweep with the paper's
 // first-access-free convention (distance between consecutive sorted
@@ -76,6 +77,22 @@ std::uint64_t AppendSweepRequests(std::span<const core::Slot> slots,
 /// both sides in lock-step). Unmoved variables produce no traffic.
 [[nodiscard]] MigrationPlan PlanMigration(const core::Placement& from,
                                           const core::Placement& to);
+
+/// What PlanMigration(from, to) would report without its traffic: the
+/// number of moves and the shift estimate.
+struct MigrationEstimate {
+  std::size_t moves = 0;
+  std::uint64_t estimated_shifts = 0;
+
+  [[nodiscard]] bool empty() const noexcept { return moves == 0; }
+};
+
+/// Equals {plan.moves.size(), plan.estimated_shifts} of
+/// PlanMigration(from, to), and throws where it throws, but allocates
+/// nothing: one walk over each placement. The engine decides on the
+/// estimate and builds the plan only for a migration it realizes.
+[[nodiscard]] MigrationEstimate EstimateMigration(const core::Placement& from,
+                                                  const core::Placement& to);
 
 /// Analytic per-move charge used by the engine's incremental-refinement
 /// accept rule: moving one variable in isolation costs about one read

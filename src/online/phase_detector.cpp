@@ -22,25 +22,62 @@ constexpr double kModelFloor = 1e-9;
 
 }  // namespace
 
-TransitionSummary SummarizeTransitions(
+const TransitionSummary& TransitionWorkspace::Summarize(
     std::span<const trace::Access> window) {
-  TransitionSummary summary;
-  if (window.size() < 2) return summary;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(window.size() - 1);
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    keys.push_back(PackPair(window[i - 1].variable, window[i].variable));
+  summary_.weights.clear();
+  summary_.total = 0;
+  if (window.size() < 2) return summary_;
+
+  // Rank the distinct variables in ascending id: ranks preserve the order
+  // of packed keys, so pairs sorted by (lo rank, hi rank) come out in key
+  // order.
+  distinct_.clear();
+  for (const trace::Access& access : window) {
+    if (access.variable >= rank_.size()) {
+      rank_.resize(std::size_t{access.variable} + 1, kNoRank);
+    }
+    std::uint32_t& rank = rank_[access.variable];
+    if (rank == kNoRank) {
+      rank = 0;
+      distinct_.push_back(access.variable);
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  summary.weights.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size();) {
+  std::sort(distinct_.begin(), distinct_.end());
+  for (std::size_t r = 0; r < distinct_.size(); ++r) {
+    rank_[distinct_[r]] = static_cast<std::uint32_t>(r);
+  }
+
+  pairs_.clear();
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    const std::uint32_t a = rank_[window[i - 1].variable];
+    const std::uint32_t b = rank_[window[i].variable];
+    pairs_.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  // Least significant key first: a counting pass by hi rank, then a
+  // stable one by lo rank.
+  const auto counting_pass = [this](const auto& in, auto& out, auto key) {
+    bucket_.assign(distinct_.size() + 1, 0);
+    for (const auto& pair : in) ++bucket_[key(pair) + 1];
+    for (std::size_t r = 1; r < bucket_.size(); ++r) {
+      bucket_[r] += bucket_[r - 1];
+    }
+    for (const auto& pair : in) out[bucket_[key(pair)]++] = pair;
+  };
+  sorted_.resize(pairs_.size());
+  counting_pass(pairs_, sorted_, [](const auto& pair) { return pair.second; });
+  counting_pass(sorted_, pairs_, [](const auto& pair) { return pair.first; });
+
+  for (std::size_t i = 0; i < pairs_.size();) {
     std::size_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    summary.weights.emplace_back(keys[i], j - i);
+    while (j < pairs_.size() && pairs_[j] == pairs_[i]) ++j;
+    summary_.weights.emplace_back(
+        PackPair(distinct_[pairs_[i].first], distinct_[pairs_[i].second]),
+        j - i);
     i = j;
   }
-  summary.total = keys.size();
-  return summary;
+  summary_.total = pairs_.size();
+  for (const trace::VariableId v : distinct_) rank_[v] = kNoRank;
+  return summary_;
 }
 
 std::string_view ToString(DetectorKind kind) {
@@ -115,8 +152,8 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   // (fewer than two accesses) carries no signal and leaves the model
   // untouched.
   if (window.empty()) return verdict;
-  std::vector<std::pair<std::uint64_t, double>> current;
-  current.reserve(window.weights.size());
+  std::vector<std::pair<std::uint64_t, double>>& current = current_;
+  current.clear();
   const double inv_total = 1.0 / static_cast<double>(window.total);
   for (const auto& [key, weight] : window.weights) {
     current.emplace_back(key, static_cast<double>(weight) * inv_total);
@@ -125,7 +162,7 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   if (model_.empty()) {
     // First informative window (or a fully pruned model): seed, don't
     // compare — there is nothing meaningful to drift from.
-    model_ = std::move(current);
+    model_.swap(current);
     return verdict;
   }
 
@@ -162,14 +199,14 @@ PhaseDetector::Verdict PhaseDetector::Observe(
   if (verdict.phase_change) {
     // Restart the model (and statistic) from the new phase: a single
     // long drift must not re-trigger on every subsequent window.
-    model_ = std::move(current);
+    model_.swap(current);
     cusum_ = 0.0;
     return verdict;
   }
 
   // m = (1 - alpha) m + alpha p over the merged key set.
-  std::vector<std::pair<std::uint64_t, double>> updated;
-  updated.reserve(model_.size() + current.size());
+  std::vector<std::pair<std::uint64_t, double>>& updated = updated_;
+  updated.clear();
   const double keep = 1.0 - config_.alpha;
   i = 0;
   j = 0;
@@ -193,7 +230,7 @@ PhaseDetector::Verdict PhaseDetector::Observe(
     }
     if (value > kModelFloor) updated.emplace_back(key, value);
   }
-  model_ = std::move(updated);
+  model_.swap(updated);
   return verdict;
 }
 

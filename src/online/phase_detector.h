@@ -57,10 +57,32 @@ struct TransitionSummary {
   [[nodiscard]] bool empty() const noexcept { return total == 0; }
 };
 
-/// Builds the transition summary of one window (consecutive pairs over
-/// the whole window, regardless of DBC assignment).
-[[nodiscard]] TransitionSummary SummarizeTransitions(
-    std::span<const trace::Access> window);
+/// Builds transition summaries of windows (consecutive pairs over the
+/// whole window, regardless of DBC assignment) on reused scratch. The
+/// window's distinct variables are ranked in ascending id, and the pairs
+/// are counted on rank keys by a two-pass counting sort: a window of n
+/// accesses over r distinct variables costs O(n + r log r), with no
+/// comparison sort of the pairs. Scratch grows to the largest variable id
+/// seen and is reused across windows of any variable space; one
+/// workspace serves one thread.
+class TransitionWorkspace {
+ public:
+  /// The summary of `window`, valid until the next call.
+  const TransitionSummary& Summarize(std::span<const trace::Access> window);
+
+ private:
+  static constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
+
+  /// Variable id -> rank in the current window; kNoRank between calls.
+  std::vector<std::uint32_t> rank_;
+  /// The current window's distinct variables, ascending.
+  std::vector<trace::VariableId> distinct_;
+  /// Pairs as (lo rank, hi rank), before and after each sorting pass.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_;
+  std::vector<std::size_t> bucket_;
+  TransitionSummary summary_;
+};
 
 enum class DetectorKind : std::uint8_t {
   kNone,
@@ -122,6 +144,10 @@ class PhaseDetector {
   PhaseDetectorConfig config_;
   /// kEwmaDrift / kCusum: normalized model distribution, sorted by key.
   std::vector<std::pair<std::uint64_t, double>> model_;
+  /// Observe's scratch for the normalized window and the updated model;
+  /// their capacity survives across windows.
+  std::vector<std::pair<std::uint64_t, double>> current_;
+  std::vector<std::pair<std::uint64_t, double>> updated_;
   /// kCusum: the accumulated statistic S.
   double cusum_ = 0.0;
   std::size_t observed_ = 0;

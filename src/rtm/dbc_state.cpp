@@ -28,9 +28,7 @@ DbcState::DbcState(std::uint32_t num_domains,
 }
 
 DbcState::AccessPlan DbcState::Plan(std::uint32_t domain) const {
-  if (domain >= num_domains_) {
-    throw std::out_of_range("DbcState: domain out of range");
-  }
+  if (domain >= num_domains_) ThrowDomainOutOfRange();
   AccessPlan best;
   bool have_best = false;
   for (std::uint32_t p = 0; p < port_offsets_.size(); ++p) {
@@ -48,26 +46,7 @@ DbcState::AccessPlan DbcState::Plan(std::uint32_t domain) const {
   return best;
 }
 
-std::uint64_t DbcState::Access(std::uint32_t domain) {
-  // Single-port fast path (the paper's device model): Plan() degenerates
-  // to one subtraction — skip the port-selection loop and the AccessPlan
-  // round-trip. Bit-identical to the general path below.
-  if (port_offsets_.size() == 1) {
-    if (domain >= num_domains_) {
-      throw std::out_of_range("DbcState: domain out of range");
-    }
-    const std::int64_t target = static_cast<std::int64_t>(domain) -
-                                static_cast<std::int64_t>(port_offsets_[0]);
-    const std::uint64_t shifts =
-        alignment_.has_value()
-            ? static_cast<std::uint64_t>(std::llabs(*alignment_ - target))
-            : 0;
-    alignment_ = target;
-    total_shifts_ += shifts;
-    const auto excursion = static_cast<std::uint64_t>(std::llabs(target));
-    if (excursion > max_excursion_) max_excursion_ = excursion;
-    return shifts;
-  }
+std::uint64_t DbcState::AccessMultiPort(std::uint32_t domain) {
   const AccessPlan plan = Plan(domain);
   alignment_ = plan.new_alignment;
   total_shifts_ += plan.shifts;
@@ -75,6 +54,10 @@ std::uint64_t DbcState::Access(std::uint32_t domain) {
       static_cast<std::uint64_t>(std::llabs(plan.new_alignment));
   if (excursion > max_excursion_) max_excursion_ = excursion;
   return plan.shifts;
+}
+
+void DbcState::ThrowDomainOutOfRange() {
+  throw std::out_of_range("DbcState: domain out of range");
 }
 
 void DbcState::Reset() {

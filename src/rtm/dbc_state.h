@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <vector>
 
@@ -32,7 +33,24 @@ class DbcState {
   [[nodiscard]] AccessPlan Plan(std::uint32_t domain) const;
 
   /// Executes Plan(domain): shifts, updates alignment, returns shift count.
-  std::uint64_t Access(std::uint32_t domain);
+  /// The single-port case (the paper's device model) is inline: it runs
+  /// once per memory request.
+  std::uint64_t Access(std::uint32_t domain) {
+    if (port_offsets_.size() != 1) return AccessMultiPort(domain);
+    if (domain >= num_domains_) ThrowDomainOutOfRange();
+    // Plan() degenerates to one subtraction; bit-identical to it.
+    const std::int64_t target = static_cast<std::int64_t>(domain) -
+                                static_cast<std::int64_t>(port_offsets_[0]);
+    const std::uint64_t shifts =
+        alignment_.has_value()
+            ? static_cast<std::uint64_t>(std::llabs(*alignment_ - target))
+            : 0;
+    alignment_ = target;
+    total_shifts_ += shifts;
+    const auto excursion = static_cast<std::uint64_t>(std::llabs(target));
+    if (excursion > max_excursion_) max_excursion_ = excursion;
+    return shifts;
+  }
 
   /// Current alignment; nullopt until the first access when the DBC starts
   /// in first-access-free mode.
@@ -58,6 +76,9 @@ class DbcState {
   void Reset();
 
  private:
+  std::uint64_t AccessMultiPort(std::uint32_t domain);
+  [[noreturn]] static void ThrowDomainOutOfRange();
+
   std::uint32_t num_domains_;
   std::vector<std::uint32_t> port_offsets_;
   bool start_at_zero_;

@@ -156,6 +156,16 @@ void RunMetrics::Accumulate(const SimulationResult& result) {
   area_mm2 = std::max(area_mm2, result.area_mm2);
 }
 
+namespace {
+
+[[noreturn]] void ThrowInvalidKnob(const char* name, const char* raw,
+                                   const char* expected) {
+  throw std::invalid_argument(util::Concat(
+      {name, "='", raw, "' is invalid: expected ", expected}));
+}
+
+}  // namespace
+
 double SearchEffortFromEnv(double fallback) {
   const char* raw = std::getenv("RTMPLACE_EFFORT");
   if (raw == nullptr) return fallback;
@@ -165,7 +175,7 @@ double SearchEffortFromEnv(double fallback) {
   // comparison, so test finiteness explicitly: "nan", "inf" and
   // out-of-range "1e999" are invalid, not efforts.
   if (end == raw || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
-    return fallback;
+    ThrowInvalidKnob("RTMPLACE_EFFORT", raw, "a finite number > 0");
   }
   return value;
 }
@@ -179,7 +189,7 @@ unsigned ThreadCountFromEnv(unsigned fallback) {
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
   if (end == raw || *end != '\0' || value <= 0 || value > kMaxThreads) {
-    return fallback;
+    ThrowInvalidKnob("RTMPLACE_THREADS", raw, "a whole number in [1, 1024]");
   }
   return static_cast<unsigned>(value);
 }

@@ -132,14 +132,15 @@ struct ExperimentOptions {
                                         std::size_t num_variables);
 
 /// Reads ExperimentOptions::search_effort from the RTMPLACE_EFFORT
-/// environment variable (falls back to `fallback` when unset/invalid;
-/// non-numeric, partly numeric ("2x"), non-positive and non-finite values
-/// are invalid).
+/// environment variable; returns `fallback` when it is unset. Non-numeric,
+/// partly numeric ("2x"), non-positive and non-finite values throw
+/// std::invalid_argument naming the variable and its value.
 [[nodiscard]] double SearchEffortFromEnv(double fallback);
 
 /// Reads ExperimentOptions::num_threads from the RTMPLACE_THREADS
-/// environment variable (falls back to `fallback` when unset/invalid;
-/// anything but a whole integer in [1, 1024] is invalid).
+/// environment variable; returns `fallback` when it is unset. Anything
+/// but a whole integer in [1, 1024] throws std::invalid_argument naming
+/// the variable and its value.
 [[nodiscard]] unsigned ThreadCountFromEnv(unsigned fallback);
 
 /// Runs the full matrix over `suite` on a thread pool (see header

@@ -115,21 +115,34 @@ TEST(Experiment, OversizedSequenceWidensTheDevice) {
   EXPECT_EQ(results[0].metrics.accesses, 1100u);
 }
 
+// An invalid value is an error naming the variable and the value; only
+// an unset variable falls back.
+template <typename Read>
+void ExpectInvalidKnob(const char* name, const char* raw, Read read) {
+  ::setenv(name, raw, 1);
+  try {
+    (void)read();
+    ADD_FAILURE() << name << "='" << raw << "' did not throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(name), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("'") + raw + "'"), std::string::npos)
+        << message;
+  }
+}
+
 TEST(Experiment, SearchEffortFromEnvParsesAndFallsBack) {
   ::unsetenv("RTMPLACE_EFFORT");
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
   ::setenv("RTMPLACE_EFFORT", "0.5", 1);
   EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.5);
-  ::setenv("RTMPLACE_EFFORT", "garbage", 1);
-  EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
-  ::setenv("RTMPLACE_EFFORT", "-1", 1);
-  EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25);
   // Non-finite values are invalid too: NaN used to reach the GA's
   // population sizing, and inf serialized as "search_effort": null.
   // Trailing garbage makes the whole value invalid.
-  for (const char* raw : {"nan", "inf", "-inf", "1e999", "2x", "0.5 "}) {
-    ::setenv("RTMPLACE_EFFORT", raw, 1);
-    EXPECT_DOUBLE_EQ(SearchEffortFromEnv(0.25), 0.25) << raw;
+  for (const char* raw : {"garbage", "-1", "0", "", "nan", "inf", "-inf",
+                          "1e999", "2x", "0.5 "}) {
+    ExpectInvalidKnob("RTMPLACE_EFFORT", raw,
+                      [] { return SearchEffortFromEnv(0.25); });
   }
   ::unsetenv("RTMPLACE_EFFORT");
 }
@@ -139,19 +152,14 @@ TEST(Experiment, ThreadCountFromEnvParsesAndFallsBack) {
   EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
   ::setenv("RTMPLACE_THREADS", "8", 1);
   EXPECT_EQ(ThreadCountFromEnv(3u), 8u);
-  ::setenv("RTMPLACE_THREADS", "garbage", 1);
-  EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
-  ::setenv("RTMPLACE_THREADS", "0", 1);
-  EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
-  ::setenv("RTMPLACE_THREADS", "-2", 1);
-  EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
-  // Out-of-range values must fall back, not wrap in the unsigned cast.
-  ::setenv("RTMPLACE_THREADS", "4294967298", 1);
-  EXPECT_EQ(ThreadCountFromEnv(3u), 3u);
-  // Trailing garbage makes the whole value invalid.
-  for (const char* raw : {"4x", "8threads"}) {
-    ::setenv("RTMPLACE_THREADS", raw, 1);
-    EXPECT_EQ(ThreadCountFromEnv(3u), 3u) << raw;
+  ::setenv("RTMPLACE_THREADS", "1024", 1);
+  EXPECT_EQ(ThreadCountFromEnv(3u), 1024u);
+  // Out-of-range values must be rejected, not wrap in the unsigned cast;
+  // trailing garbage makes the whole value invalid.
+  for (const char* raw : {"garbage", "0", "-2", "1025", "4294967298", "",
+                          "4x", "8threads"}) {
+    ExpectInvalidKnob("RTMPLACE_THREADS", raw,
+                      [] { return ThreadCountFromEnv(3u); });
   }
   ::unsetenv("RTMPLACE_THREADS");
 }

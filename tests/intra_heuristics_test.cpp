@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -11,6 +12,7 @@
 #include "trace/access_sequence.h"
 #include "trace/generators.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace rtmp::core {
 namespace {
@@ -324,6 +326,147 @@ TEST(IntraHeuristics, RangeApplyMatchesOneCallPerDbc) {
       EXPECT_EQ(got, want) << "trial " << trial << " heuristic "
                            << ToString(heuristic);
     }
+  }
+}
+
+// The member split LocalWorkspace::Build made before ApplyIntra kept
+// never-accessed members out of it: mark every member, walk the DBC's
+// accesses (local ids by first access), then sort the members left
+// unseen. Kept here as the reference for that split.
+struct ReferenceSplit {
+  std::vector<trace::Access> accesses;  // the DBC's, in sequence order
+  std::vector<VariableId> accessed;     // by first access
+  std::vector<VariableId> unused;       // ascending id
+};
+
+ReferenceSplit PerDbcBuildSplit(const AccessSequence& seq,
+                                const std::vector<VariableId>& vars) {
+  constexpr std::uint32_t kOutside = ~std::uint32_t{0};
+  constexpr std::uint32_t kUnseen = kOutside - 1;
+  std::vector<std::uint32_t> to_local(seq.num_variables(), kOutside);
+  for (const VariableId v : vars) {
+    if (v >= seq.num_variables()) {
+      throw std::out_of_range("OrderVariables: variable id out of range");
+    }
+    to_local[v] = kUnseen;
+  }
+  ReferenceSplit split;
+  for (const trace::Access& a : seq.accesses()) {
+    std::uint32_t& slot = to_local[a.variable];
+    if (slot == kOutside) continue;
+    if (slot == kUnseen) {
+      slot = static_cast<std::uint32_t>(split.accessed.size());
+      split.accessed.push_back(a.variable);
+    }
+    split.accesses.push_back(a);
+  }
+  for (const VariableId v : vars) {
+    if (to_local[v] == kUnseen) split.unused.push_back(v);
+  }
+  std::sort(split.unused.begin(), split.unused.end());
+  return split;
+}
+
+// ApplyIntra over [first, end) from the reference split: OFU is the
+// accessed members in first-access order; the other heuristics order
+// the accessed members alone; the never-accessed tail follows.
+void SplitApplyIntra(IntraHeuristic heuristic, const AccessSequence& seq,
+                     Placement& placement, std::uint32_t first,
+                     std::uint32_t end) {
+  if (heuristic == IntraHeuristic::kNone) return;
+  for (std::uint32_t d = first; d < end; ++d) {
+    const auto& vars = placement.dbc(d);
+    if (vars.size() < 2) continue;
+    const ReferenceSplit split = PerDbcBuildSplit(seq, vars);
+    std::vector<VariableId> order =
+        heuristic == IntraHeuristic::kOfu
+            ? split.accessed
+            : OrderVariables(heuristic, split.accesses, split.accessed,
+                             seq.num_variables());
+    order.insert(order.end(), split.unused.begin(), split.unused.end());
+    placement.Reorder(d, std::move(order));
+  }
+}
+
+// A sequence over `num_vars` variables whose accesses touch only a few
+// of them, and a placement of all of them over many DBCs: most members
+// are never accessed, and some DBCs hold a single member.
+AccessSequence SparseSequence(std::size_t num_vars, util::Rng& rng) {
+  AccessSequence seq;
+  for (std::size_t v = 0; v < num_vars; ++v) {
+    (void)seq.AddVariable(util::Concat({"v", std::to_string(v)}));
+  }
+  std::vector<VariableId> hot;
+  const std::size_t num_hot = 1 + rng.NextBelow(1 + num_vars / 10);
+  for (std::size_t i = 0; i < num_hot; ++i) {
+    hot.push_back(static_cast<VariableId>(rng.NextBelow(num_vars)));
+  }
+  const std::size_t length = rng.NextBelow(300);
+  for (std::size_t i = 0; i < length; ++i) {
+    seq.Append(hot[rng.NextBelow(hot.size())]);
+  }
+  return seq;
+}
+
+TEST(IntraHeuristics, RangeApplyMatchesPerDbcBuildSplit) {
+  util::Rng rng(0x5B117B1DULL);
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool sparse = trial % 2 == 0;
+    const AccessSequence seq =
+        sparse ? SparseSequence(2 + rng.NextBelow(600), rng)
+               : RandomTrialSequence(trial, rng);
+    Placement base = RandomPartialPlacement(seq, rng);
+    if (sparse) {
+      // Many DBCs for few members each: single-member and empty DBCs.
+      base = Placement(seq.num_variables(),
+                       static_cast<std::uint32_t>(
+                           1 + rng.NextBelow(seq.num_variables())));
+      for (VariableId v = 0; v < seq.num_variables(); ++v) {
+        base.Append(static_cast<std::uint32_t>(rng.NextBelow(base.num_dbcs())),
+                    v);
+      }
+    }
+    const std::uint32_t num_dbcs = base.num_dbcs();
+    const auto first = static_cast<std::uint32_t>(rng.NextBelow(num_dbcs));
+    const auto end = static_cast<std::uint32_t>(
+        first + 1 + rng.NextBelow(num_dbcs - first));
+    for (const IntraHeuristic heuristic : kAllHeuristics) {
+      Placement got = base;
+      ApplyIntra(heuristic, seq, got, first, end);
+      Placement want = base;
+      SplitApplyIntra(heuristic, seq, want, first, end);
+      EXPECT_EQ(got, want) << "trial " << trial << " heuristic "
+                           << ToString(heuristic);
+      got.CheckInvariants();
+    }
+  }
+}
+
+// A member id beyond the sequence's variable space is an error in a DBC
+// ApplyIntra orders, raised before any DBC is reordered; a single-member
+// DBC is never ordered, so it may hold one.
+TEST(IntraHeuristics, ApplyIntraRejectsOutOfRangeMembers) {
+  const auto seq = AccessSequence::FromCompactString("ababcdcd");  // 4 vars
+  const Placement base = Placement::FromLists({{1, 0}, {3, 2, 5}, {4}}, 6);
+  for (const IntraHeuristic heuristic : kAllHeuristics) {
+    Placement p = base;
+    if (heuristic == IntraHeuristic::kNone) {
+      ApplyIntra(heuristic, seq, p, 0, 3);
+      EXPECT_EQ(p, base);
+      continue;
+    }
+    EXPECT_THROW(ApplyIntra(heuristic, seq, p, 0, 3), std::out_of_range)
+        << ToString(heuristic);
+    EXPECT_EQ(p, base) << ToString(heuristic);
+    Placement q = base;
+    EXPECT_THROW(SplitApplyIntra(heuristic, seq, q, 1, 2), std::out_of_range)
+        << ToString(heuristic);
+    // Outside DBC 1, which holds id 5, nothing is out of range.
+    ApplyIntra(heuristic, seq, p, 0, 1);
+    ApplyIntra(heuristic, seq, p, 2, 3);
+    Placement want = base;
+    SplitApplyIntra(heuristic, seq, want, 0, 1);
+    EXPECT_EQ(p, want) << ToString(heuristic);
   }
 }
 

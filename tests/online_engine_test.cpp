@@ -395,8 +395,11 @@ TEST(PhaseDetector, EwmaDetectsADistributionSwapAndSettles) {
   const trace::AccessSequence full = trace::AccessSequence::FromCompactString(
       "abababababababab" "cdcdcdcdcdcdcdcd");
   const std::span<const trace::Access> accesses = full.accesses();
-  const auto summary_a = online::SummarizeTransitions(accesses.subspan(0, 16));
-  const auto summary_b = online::SummarizeTransitions(accesses.subspan(16));
+  online::TransitionWorkspace transitions;
+  const online::TransitionSummary summary_a =
+      transitions.Summarize(accesses.subspan(0, 16));
+  const online::TransitionSummary summary_b =
+      transitions.Summarize(accesses.subspan(16));
 
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);  // seeds
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);  // stable
@@ -446,9 +449,15 @@ TEST(MigrationPlanner, RejectsMismatchedVariableSpaces) {
   core::Placement a = core::Placement::FromLists({{0, 1}}, 2);
   core::Placement b = core::Placement::FromLists({{0, 1, 2}}, 3);
   EXPECT_THROW((void)online::PlanMigration(a, b), std::invalid_argument);
+  EXPECT_THROW((void)online::EstimateMigration(a, b), std::invalid_argument);
   // Same space, but a variable placed on one side only.
   core::Placement c = core::Placement::FromLists({{0}}, 2);
   EXPECT_THROW((void)online::PlanMigration(a, c), std::invalid_argument);
+  EXPECT_THROW((void)online::EstimateMigration(a, c), std::invalid_argument);
+  // Equal placed counts, different placed sets: caught by the walk.
+  core::Placement d = core::Placement::FromLists({{1}}, 2);
+  EXPECT_THROW((void)online::PlanMigration(c, d), std::invalid_argument);
+  EXPECT_THROW((void)online::EstimateMigration(c, d), std::invalid_argument);
 }
 
 // The planner as it was before it walked the placements: collect the moves
@@ -562,6 +571,13 @@ TEST(MigrationPlanner, WalkMatchesSortingReferenceOnRandomPairs) {
     }
     EXPECT_EQ(got.estimated_shifts, want.estimated_shifts)
         << "trial " << trial;
+    // The estimate the engine decides on is the plan's, unbuilt.
+    const online::MigrationEstimate estimate =
+        online::EstimateMigration(from, to);
+    EXPECT_EQ(estimate.moves, want.moves.size()) << "trial " << trial;
+    EXPECT_EQ(estimate.estimated_shifts, want.estimated_shifts)
+        << "trial " << trial;
+    EXPECT_EQ(estimate.empty(), want.empty()) << "trial " << trial;
   }
 }
 

@@ -11,6 +11,8 @@
 // (single-window drift is bounded by 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "online/policy.h"
 #include "sim/experiment.h"
 #include "trace/access_sequence.h"
+#include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -42,8 +45,11 @@ TEST(CusumDetector, IntegratesDriftToADeterministicBoundary) {
   const trace::AccessSequence full = trace::AccessSequence::FromCompactString(
       "abababababababab" "cdcdcdcdcdcdcdcd");
   const std::span<const trace::Access> accesses = full.accesses();
-  const auto summary_a = online::SummarizeTransitions(accesses.subspan(0, 16));
-  const auto summary_b = online::SummarizeTransitions(accesses.subspan(16));
+  online::TransitionWorkspace transitions;
+  const online::TransitionSummary summary_a =
+      transitions.Summarize(accesses.subspan(0, 16));
+  const online::TransitionSummary summary_b =
+      transitions.Summarize(accesses.subspan(16));
 
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);  // seeds
   const auto stable = detector.Observe(summary_a);
@@ -73,8 +79,11 @@ TEST(CusumDetector, SlackAbsorbsBoundedDrift) {
   const trace::AccessSequence full = trace::AccessSequence::FromCompactString(
       "abababab" "cdcdcdcd");
   const std::span<const trace::Access> accesses = full.accesses();
-  const auto summary_a = online::SummarizeTransitions(accesses.subspan(0, 8));
-  const auto summary_b = online::SummarizeTransitions(accesses.subspan(8));
+  online::TransitionWorkspace transitions;
+  const online::TransitionSummary summary_a =
+      transitions.Summarize(accesses.subspan(0, 8));
+  const online::TransitionSummary summary_b =
+      transitions.Summarize(accesses.subspan(8));
   EXPECT_FALSE(detector.Observe(summary_a).phase_change);
   for (int w = 0; w < 4; ++w) {
     EXPECT_FALSE(detector.Observe(summary_b).phase_change) << w;
@@ -87,8 +96,11 @@ TEST(CusumDetector, ResetReturnsToTheSeedState) {
   const trace::AccessSequence full = trace::AccessSequence::FromCompactString(
       "abababab" "cdcdcdcd");
   const std::span<const trace::Access> accesses = full.accesses();
-  const auto summary_a = online::SummarizeTransitions(accesses.subspan(0, 8));
-  const auto summary_b = online::SummarizeTransitions(accesses.subspan(8));
+  online::TransitionWorkspace transitions;
+  const online::TransitionSummary summary_a =
+      transitions.Summarize(accesses.subspan(0, 8));
+  const online::TransitionSummary summary_b =
+      transitions.Summarize(accesses.subspan(8));
 
   for (int round = 0; round < 2; ++round) {
     EXPECT_FALSE(detector.Observe(summary_a).phase_change) << round;
@@ -153,6 +165,58 @@ TEST(CusumPolicies, AreRegisteredAndRunDeterministically) {
   EXPECT_EQ(first.placement_cost, second.placement_cost);
   EXPECT_DOUBLE_EQ(first.metrics.runtime_ns, second.metrics.runtime_ns);
   EXPECT_GT(first.metrics.shifts, 0u);
+}
+
+// The transition summary as it was built before the workspace: pack
+// every consecutive pair, comparison-sort the keys, run-length count.
+// Kept here as the reference the ranked counting sort must reproduce.
+online::TransitionSummary SortingSummarizeTransitions(
+    std::span<const trace::Access> window) {
+  online::TransitionSummary summary;
+  if (window.size() < 2) return summary;
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 1; i < window.size(); ++i) {
+    const std::uint64_t a = window[i - 1].variable;
+    const std::uint64_t b = window[i].variable;
+    keys.push_back((std::min(a, b) << 32) | std::max(a, b));
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    summary.weights.emplace_back(keys[i], j - i);
+    i = j;
+  }
+  summary.total = keys.size();
+  return summary;
+}
+
+// One workspace summarizes random windows of 0 to 300 accesses drawn
+// from variable spaces of very different sizes (ids up to 2^22), with
+// runs that produce self-transitions.
+TEST(TransitionWorkspace, MatchesTheSortingReferenceAcrossWindows) {
+  util::Rng rng(0x7A5E55EDULL);
+  online::TransitionWorkspace transitions;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint64_t space =
+        trial % 5 == 0 ? 1 : std::uint64_t{1} << (1 + rng.NextBelow(22));
+    const std::size_t length =
+        trial % 7 < 3 ? static_cast<std::size_t>(trial % 7)
+                      : rng.NextBelow(300);
+    std::vector<trace::Access> window;
+    for (std::size_t i = 0; i < length; ++i) {
+      const bool repeat = !window.empty() && rng.NextBool(0.2);
+      window.push_back(
+          {repeat ? window.back().variable
+                  : static_cast<trace::VariableId>(rng.NextBelow(space)),
+           trace::AccessType::kRead});
+    }
+    const online::TransitionSummary want =
+        SortingSummarizeTransitions(window);
+    const online::TransitionSummary& got = transitions.Summarize(window);
+    EXPECT_EQ(got.weights, want.weights) << "trial " << trial;
+    EXPECT_EQ(got.total, want.total) << "trial " << trial;
+  }
 }
 
 }  // namespace
