@@ -161,8 +161,8 @@ std::string PaperVsMeasured(double paper, double measured, int digits) {
 
 double GeoMeanImprovement(const sim::ResultTable& table,
                           const std::vector<std::string>& benchmarks,
-                          unsigned dbcs, const core::StrategySpec& strategy,
-                          const core::StrategySpec& baseline) {
+                          unsigned dbcs, const std::string& strategy,
+                          const std::string& baseline) {
   const auto normalized =
       table.NormalizedShifts(benchmarks, dbcs, strategy, baseline);
   const double ratio = util::GeoMean(normalized);

@@ -123,6 +123,6 @@ int RunLegacyAlias(std::string_view name);
 [[nodiscard]] double GeoMeanImprovement(
     const sim::ResultTable& table,
     const std::vector<std::string>& benchmarks, unsigned dbcs,
-    const core::StrategySpec& strategy, const core::StrategySpec& baseline);
+    const std::string& strategy, const std::string& baseline);
 
 }  // namespace rtmp::benchtool

@@ -5,7 +5,7 @@
 // Chen and ShiftsReduce heuristics" — i.e. intra optimization helps BOTH
 // inter policies, DMA dominates for every intra choice, and the intra gain
 // shrinks as DBCs increase (sparser DBCs leave less to reorder).
-#include "core/strategy.h"
+#include "core/intra_heuristics.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 
@@ -22,15 +22,14 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   options.strategies.clear();
-  const core::InterPolicy inters[] = {core::InterPolicy::kAfd,
-                                      core::InterPolicy::kDma,
-                                      core::InterPolicy::kDmaMulti};
+  const char* families[] = {"afd", "dma", "dma2"};
   const core::IntraHeuristic intras[] = {
       core::IntraHeuristic::kOfu, core::IntraHeuristic::kChen,
       core::IntraHeuristic::kShiftsReduce, core::IntraHeuristic::kGreedyEdge};
-  for (const auto inter : inters) {
+  for (const char* family : families) {
     for (const auto intra : intras) {
-      options.strategies.push_back({inter, intra});
+      options.strategies.push_back(std::string(family) + "-" +
+                                   std::string(core::ToString(intra)));
     }
   }
   ctx.Configure(options);  // effort, threads, progress
@@ -39,8 +38,6 @@ void Run(ScenarioContext& ctx) {
   ctx.AddCells(results);
   const sim::ResultTable table(results);
   const auto names = SuiteNames();
-  const core::StrategySpec baseline{core::InterPolicy::kAfd,
-                                    core::IntraHeuristic::kOfu};
 
   double dma_sr_gain[4] = {};
   double afd_sr_gain[4] = {};
@@ -52,32 +49,20 @@ void Run(ScenarioContext& ctx) {
     out.SetAlignments({util::Align::kLeft, util::Align::kRight,
                        util::Align::kRight, util::Align::kRight,
                        util::Align::kRight});
-    const char* inter_labels[] = {"afd", "dma", "dma2"};
-    const char* intra_labels[] = {"ofu", "chen", "sr", "ge"};
-    for (std::size_t inter_idx = 0; inter_idx < std::size(inters);
-         ++inter_idx) {
-      const auto inter = inters[inter_idx];
-      std::vector<std::string> row{inter_labels[inter_idx]};
-      for (std::size_t intra_idx = 0; intra_idx < std::size(intras);
-           ++intra_idx) {
-        const auto intra = intras[intra_idx];
-        const auto normalized =
-            table.NormalizedShifts(names, dbcs, {inter, intra}, baseline);
-        const double g = util::GeoMean(normalized);
+    for (std::size_t f = 0; f < std::size(families); ++f) {
+      std::vector<std::string> row{families[f]};
+      for (std::size_t j = 0; j < std::size(intras); ++j) {
+        const std::string& strategy =
+            options.strategies[f * std::size(intras) + j];
+        const double g =
+            util::GeoMean(table.NormalizedShifts(names, dbcs, strategy,
+                                                 "afd-ofu"));
         row.push_back(util::FormatFixed(g, 2));
-        ctx.Scalar("ablation_intra/norm_shifts/" +
-                       std::string(inter_labels[inter_idx]) + "-" +
-                       intra_labels[intra_idx] + "/" + std::to_string(dbcs) +
-                       "dbc",
+        ctx.Scalar("ablation_intra/norm_shifts/" + strategy + "/" +
+                       std::to_string(dbcs) + "dbc",
                    g);
-        if (inter == core::InterPolicy::kDma &&
-            intra == core::IntraHeuristic::kShiftsReduce) {
-          dma_sr_gain[i] = g;
-        }
-        if (inter == core::InterPolicy::kAfd &&
-            intra == core::IntraHeuristic::kShiftsReduce) {
-          afd_sr_gain[i] = g;
-        }
+        if (strategy == "dma-sr") dma_sr_gain[i] = g;
+        if (strategy == "afd-sr") afd_sr_gain[i] = g;
       }
       out.AddRow(std::move(row));
     }

@@ -7,7 +7,6 @@
 // Absolute factors depend on the (synthesized) traces; the shape to check
 // is: every DMA variant beats AFD-OFU, DMA-SR <= DMA-Chen <= DMA-OFU, the
 // advantage shrinks as DBCs increase, and GA lower-bounds everything.
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 
@@ -30,24 +29,8 @@ void Run(ScenarioContext& ctx) {
   const sim::ResultTable table(results);
   const auto names = SuiteNames();
 
-  const core::StrategySpec kAfdOfu{core::InterPolicy::kAfd,
-                                   core::IntraHeuristic::kOfu};
-  const core::StrategySpec kDmaOfu{core::InterPolicy::kDma,
-                                   core::IntraHeuristic::kOfu};
-  const core::StrategySpec kDmaChen{core::InterPolicy::kDma,
-                                    core::IntraHeuristic::kChen};
-  const core::StrategySpec kDmaSr{core::InterPolicy::kDma,
-                                  core::IntraHeuristic::kShiftsReduce};
-  const core::StrategySpec kGa{core::InterPolicy::kGa,
-                               core::IntraHeuristic::kNone};
-  const core::StrategySpec kRw{core::InterPolicy::kRandomWalk,
-                               core::IntraHeuristic::kNone};
-
-  const struct {
-    const char* label;
-    core::StrategySpec spec;
-  } columns[] = {{"afd-ofu", kAfdOfu}, {"dma-ofu", kDmaOfu},
-                 {"dma-chen", kDmaChen}, {"dma-sr", kDmaSr}, {"rw", kRw}};
+  const std::string columns[] = {"afd-ofu", "dma-ofu", "dma-chen", "dma-sr",
+                                 "rw"};
 
   for (const unsigned dbcs : options.dbc_counts) {
     ctx.Print("-- %u DBCs (cost normalized to GA; GA = 1.00) --\n", dbcs);
@@ -61,7 +44,7 @@ void Run(ScenarioContext& ctx) {
       std::vector<std::string> row{name};
       for (const auto& column : columns) {
         const auto normalized =
-            table.NormalizedShifts({name}, dbcs, column.spec, kGa);
+            table.NormalizedShifts({name}, dbcs, column, "ga");
         row.push_back(util::FormatFixed(normalized.front(), 2));
       }
       bench_table.AddRow(std::move(row));
@@ -69,12 +52,11 @@ void Run(ScenarioContext& ctx) {
     bench_table.AddRule();
     std::vector<std::string> geo{"geomean"};
     for (const auto& column : columns) {
-      const auto normalized =
-          table.NormalizedShifts(names, dbcs, column.spec, kGa);
+      const auto normalized = table.NormalizedShifts(names, dbcs, column, "ga");
       const double geomean = util::GeoMean(normalized);
       geo.push_back(util::FormatFixed(geomean, 2));
-      ctx.Scalar("fig4/geomean_vs_ga/" + std::string(column.label) + "/" +
-                     std::to_string(dbcs) + "dbc",
+      ctx.Scalar("fig4/geomean_vs_ga/" + column + "/" + std::to_string(dbcs) +
+                     "dbc",
                  geomean);
     }
     bench_table.AddRow(std::move(geo));
@@ -99,11 +81,11 @@ void Run(ScenarioContext& ctx) {
     const unsigned dbcs = options.dbc_counts[i];
     const std::string dbc_tag = std::to_string(dbcs) + "dbc";
     const double dma_over_afd =
-        GeoMeanImprovement(table, names, dbcs, kDmaOfu, kAfdOfu);
+        GeoMeanImprovement(table, names, dbcs, "dma-ofu", "afd-ofu");
     const double chen_over_dma =
-        GeoMeanImprovement(table, names, dbcs, kDmaChen, kDmaOfu);
+        GeoMeanImprovement(table, names, dbcs, "dma-chen", "dma-ofu");
     const double sr_over_dma =
-        GeoMeanImprovement(table, names, dbcs, kDmaSr, kDmaOfu);
+        GeoMeanImprovement(table, names, dbcs, "dma-sr", "dma-ofu");
     ctx.Scalar("fig4/dma_ofu_over_afd_ofu/" + dbc_tag, dma_over_afd, "x");
     ctx.Scalar("fig4/dma_chen_over_dma_ofu/" + dbc_tag, chen_over_dma, "x");
     ctx.Scalar("fig4/dma_sr_over_dma_ofu/" + dbc_tag, sr_over_dma, "x");
@@ -121,13 +103,13 @@ void Run(ScenarioContext& ctx) {
   bool dma_beats_afd = true;
   for (const unsigned dbcs : options.dbc_counts) {
     dma_beats_afd = dma_beats_afd &&
-                    GeoMeanImprovement(table, names, dbcs, kDmaOfu,
-                                       kAfdOfu) >= 1.0;
+                    GeoMeanImprovement(table, names, dbcs, "dma-ofu",
+                                       "afd-ofu") >= 1.0;
   }
   const double gain_2 =
-      GeoMeanImprovement(table, names, 2, kDmaOfu, kAfdOfu);
+      GeoMeanImprovement(table, names, 2, "dma-ofu", "afd-ofu");
   const double gain_16 =
-      GeoMeanImprovement(table, names, 16, kDmaOfu, kAfdOfu);
+      GeoMeanImprovement(table, names, 16, "dma-ofu", "afd-ofu");
   ctx.Check("DMA-OFU >= AFD-OFU on geomean for every DBC count",
             dma_beats_afd);
   ctx.Print("improvement shrinks with more DBCs (2-DBC %.2fx vs 16-DBC "

@@ -6,7 +6,6 @@
 // Shapes to check: the shift-energy share shrinks and the leakage share
 // grows with DBC count; the leakage term also drops for DMA because the
 // runtime drops (paper's observation (3)).
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 
@@ -21,11 +20,7 @@ void Run(ScenarioContext& ctx) {
   ctx.PrintEffortNote();
 
   sim::ExperimentOptions options;
-  options.strategies = {
-      {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kShiftsReduce},
-  };
+  options.strategies = {"afd-ofu", "dma-ofu", "dma-sr"};
   ctx.Configure(options);  // effort, threads, progress
   const auto suite = offsetstone::GenerateSuite();
   const auto results = RunMatrix(suite, options);

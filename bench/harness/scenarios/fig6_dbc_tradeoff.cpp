@@ -6,7 +6,6 @@
 //   * shift and latency improvements saturate at higher DBC counts;
 //   * 2-DBC loses on energy (shift energy dominates) and 16-DBC consumes
 //     more than the 4/8-DBC sweet spot (leakage dominates).
-#include "core/strategy.h"
 #include "destiny/device_model.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
@@ -22,15 +21,14 @@ void Run(ScenarioContext& ctx) {
   ctx.PrintEffortNote();
 
   sim::ExperimentOptions options;
-  options.strategies = {
-      {core::InterPolicy::kDma, core::IntraHeuristic::kShiftsReduce}};
+  options.strategies = {"dma-sr"};
   ctx.Configure(options);  // effort, threads, progress
   const auto suite = offsetstone::GenerateSuite();
   const auto results = RunMatrix(suite, options);
   ctx.AddCells(results);
   const sim::ResultTable table(results);
   const auto names = SuiteNames();
-  const auto spec = options.strategies[0];
+  const std::string& strategy = options.strategies[0];
 
   double shifts[4] = {};
   double runtime[4] = {};
@@ -39,7 +37,7 @@ void Run(ScenarioContext& ctx) {
   for (std::size_t i = 0; i < options.dbc_counts.size(); ++i) {
     const unsigned dbcs = options.dbc_counts[i];
     for (const auto& name : names) {
-      const auto& m = table.At(name, dbcs, spec);
+      const auto& m = table.At(name, dbcs, strategy);
       shifts[i] += static_cast<double>(m.shifts);
       runtime[i] += m.runtime_ns;
       energy[i] += m.total_energy_pj();

@@ -73,14 +73,12 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 8};
-  options.strategies.clear();
-  options.extra_strategies.push_back(kOracle);
+  options.strategies = {kOracle};
   for (const std::string& eviction : kEvictions) {
-    options.extra_strategies.push_back(eviction + "-c100");
+    options.strategies.push_back(eviction + "-c100");
   }
-  for (const std::string& name : kConstrained) {
-    options.extra_strategies.push_back(name);
-  }
+  options.strategies.insert(options.strategies.end(), kConstrained.begin(),
+                            kConstrained.end());
   ctx.Configure(options);  // threads, progress (effort unused: no search)
 
   std::vector<sim::RunResult> results = RunAtScale(ctx, options, 1.0, "");

@@ -68,8 +68,7 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 8};
-  options.strategies.clear();
-  options.extra_strategies = {
+  options.strategies = {
       "online-static-dma-sr",    "serve-1s-static-dma-sr",
       "serve-1s-ewma-dma-sr",    "serve-2s-ewma-dma-sr",
       "serve-4s-ewma-dma-sr",
@@ -91,7 +90,7 @@ void Run(ScenarioContext& ctx) {
                            util::Align::kLeft, util::Align::kRight});
   for (const offsetstone::Benchmark& benchmark : suite) {
     for (const unsigned dbcs : options.dbc_counts) {
-      for (const std::string& name : options.extra_strategies) {
+      for (const std::string& name : options.strategies) {
         cells_out.AddRow(
             {benchmark.name, std::to_string(dbcs), name,
              std::to_string(table.At(benchmark.name, dbcs, name).shifts)});

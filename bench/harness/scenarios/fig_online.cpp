@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "online/engine.h"
 #include "online/online_cell.h"
@@ -52,13 +51,9 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 8};
-  options.strategies.clear();
-  for (const std::string& name : kStaticStrategies) {
-    options.extra_strategies.push_back(name);
-  }
-  for (const std::string& name : kOnlinePolicies) {
-    options.extra_strategies.push_back(name);
-  }
+  options.strategies = kStaticStrategies;
+  options.strategies.insert(options.strategies.end(), kOnlinePolicies.begin(),
+                            kOnlinePolicies.end());
   ctx.Configure(options);  // threads, progress (effort unused: no search)
 
   const auto suite = sim::LoadWorkloads(kPhasedWorkloads, options);

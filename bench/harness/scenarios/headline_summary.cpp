@@ -5,7 +5,6 @@
 //   * energy  by 55 %
 // over the state of the art (AFD-OFU). "Our approach" here is the best
 // performing configuration, DMA-SR, matching the paper's summary.
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 
@@ -21,10 +20,7 @@ void Run(ScenarioContext& ctx) {
   ctx.PrintEffortNote();
 
   sim::ExperimentOptions options;
-  options.strategies = {
-      {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kShiftsReduce},
-  };
+  options.strategies = {"afd-ofu", "dma-sr"};
   ctx.Configure(options);  // effort, threads, progress
   const auto suite = offsetstone::GenerateSuite();
   const auto results = RunMatrix(suite, options);

@@ -5,7 +5,6 @@
 //   DMA-SR:   70.1 / 62.0 / 37.7 / 14.6 %
 // The gain stems from the shift reduction; the shape to check is that the
 // ordering (SR >= Chen >= OFU) holds and the gain shrinks with DBC count.
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 
@@ -21,12 +20,7 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   // Latency only needs the heuristics; skip GA/RW for speed.
-  options.strategies = {
-      {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kChen},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kShiftsReduce},
-  };
+  options.strategies = {"afd-ofu", "dma-ofu", "dma-chen", "dma-sr"};
   ctx.Configure(options);  // effort, threads, progress
   const auto suite = offsetstone::GenerateSuite();
   const auto results = RunMatrix(suite, options);
@@ -34,10 +28,10 @@ void Run(ScenarioContext& ctx) {
   const sim::ResultTable table(results);
   const auto names = SuiteNames();
 
-  const core::StrategySpec baseline = options.strategies[0];
+  const std::string& baseline = options.strategies[0];
   const struct {
     const char* label;
-    core::StrategySpec spec;
+    std::string strategy;
     double paper[4];
   } rows[] = {
       {"DMA-OFU", options.strategies[1], {50.3, 50.5, 33.1, 10.4}},
@@ -60,7 +54,7 @@ void Run(ScenarioContext& ctx) {
       std::vector<double> reductions;
       for (const auto& name : names) {
         const double base = table.At(name, dbcs, baseline).runtime_ns;
-        const double ours = table.At(name, dbcs, rows[r].spec).runtime_ns;
+        const double ours = table.At(name, dbcs, rows[r].strategy).runtime_ns;
         if (base > 0.0) reductions.push_back(100.0 * (1.0 - ours / base));
       }
       measured[r][i] = util::Mean(reductions);

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <map>
 
-#include "core/strategy.h"
 #include "harness/scenarios/scenarios.h"
 #include "util/stats.h"
 #include "workloads/workload.h"
@@ -27,10 +26,7 @@ void Run(ScenarioContext& ctx) {
 
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 16};
-  options.strategies = {
-      {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kShiftsReduce},
-  };
+  options.strategies = {"afd-ofu", "dma-sr"};
   // Half-scale workloads: the suite benchmarks contribute a
   // deterministic prefix of their sequences, the synthetic families
   // shrink their lengths — enough to pin every workload's behaviour

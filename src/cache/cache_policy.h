@@ -6,7 +6,7 @@
 // device, and which wrapped online engine serves the hits. Policies
 // enter the evaluation matrix by name exactly like strategies and
 // online policies do — sim::RunCell runs a cache-policy name as a cache
-// cell, so `ExperimentOptions::extra_strategies`, `rtmbench` scenarios
+// cell, so `ExperimentOptions::strategies`, `rtmbench` scenarios
 // and `placement_explorer cache` all accept cache policy names
 // interchangeably.
 //

@@ -4,45 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/strategy_registry.h"
-
 namespace rtmp::core {
-
-namespace {
-
-std::string_view InterName(InterPolicy inter) {
-  switch (inter) {
-    case InterPolicy::kAfd: return "afd";
-    case InterPolicy::kDma: return "dma";
-    case InterPolicy::kDmaMulti: return "dma2";
-    case InterPolicy::kGa: return "ga";
-    case InterPolicy::kRandomWalk: return "rw";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
-std::string ToString(const StrategySpec& spec) {
-  std::string name(InterName(spec.inter));
-  if (spec.inter == InterPolicy::kGa ||
-      spec.inter == InterPolicy::kRandomWalk) {
-    return name;
-  }
-  name += '-';
-  name += ToString(spec.intra);
-  return name;
-}
-
-std::optional<StrategySpec> ParseStrategy(std::string_view name) {
-  const auto info = StrategyRegistry::Global().Describe(name);
-  if (!info) return std::nullopt;
-  return info->spec;
-}
-
-std::vector<std::string> RegisteredStrategyNames() {
-  return StrategyRegistry::Global().Names();
-}
 
 void ScaleSearchEffort(StrategyOptions& options, double factor) {
   if (factor <= 0.0) {
@@ -57,37 +19,6 @@ void ScaleSearchEffort(StrategyOptions& options, double factor) {
   options.ga.lambda = std::max<std::size_t>(4, scale(options.ga.lambda));
   options.ga.generations = scale(options.ga.generations);
   options.rw.iterations = scale(options.rw.iterations);
-}
-
-Placement RunStrategy(const StrategySpec& spec,
-                      const trace::AccessSequence& seq,
-                      std::uint32_t num_dbcs, std::uint32_t capacity,
-                      const StrategyOptions& options) {
-  const auto strategy = StrategyRegistry::Global().Find(ToString(spec));
-  if (!strategy) {
-    throw std::invalid_argument("RunStrategy: unregistered strategy '" +
-                                ToString(spec) + "'");
-  }
-  // Placement-only callers skip the analytic cost pass.
-  return strategy
-      ->Run({&seq, num_dbcs, capacity, options, /*compute_cost=*/false})
-      .placement;
-}
-
-std::vector<StrategySpec> PaperStrategies() {
-  // The six solutions of §IV-A in the paper's listing order, resolved
-  // through the registry so a missing registration fails loudly.
-  std::vector<StrategySpec> specs;
-  for (const char* name :
-       {"afd-ofu", "dma-ofu", "dma-chen", "dma-sr", "ga", "rw"}) {
-    const auto spec = ParseStrategy(name);
-    if (!spec) {
-      throw std::logic_error(std::string("PaperStrategies: '") + name +
-                             "' is not registered");
-    }
-    specs.push_back(*spec);
-  }
-  return specs;
 }
 
 }  // namespace rtmp::core

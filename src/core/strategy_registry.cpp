@@ -8,6 +8,7 @@
 #include "core/genetic.h"
 #include "core/inter_afd.h"
 #include "core/inter_dma.h"
+#include "core/intra_heuristics.h"
 #include "core/multi_dma.h"
 #include "core/random_walk.h"
 
@@ -24,11 +25,16 @@ void ValidateRequest(const PlacementRequest& request) {
   }
 }
 
+/// The inter-DBC family a built-in strategy runs. The constructive
+/// families pair it with an intra-DBC heuristic; GA and RW ignore that.
+enum class Family { kAfd, kDma, kDmaMulti, kGa, kRandomWalk };
+
 /// Adapter running one of the library's built-in solutions. One instance
 /// per registered name; stateless, so safe to share across threads.
 class BuiltinStrategy final : public PlacementStrategy {
  public:
-  explicit BuiltinStrategy(StrategyInfo info) : info_(std::move(info)) {}
+  BuiltinStrategy(StrategyInfo info, Family family, IntraHeuristic intra)
+      : info_(std::move(info)), family_(family), intra_(intra) {}
 
   [[nodiscard]] const StrategyInfo& Describe() const noexcept override {
     return info_;
@@ -38,27 +44,24 @@ class BuiltinStrategy final : public PlacementStrategy {
       const PlacementRequest& request) const override {
     ValidateRequest(request);
     PlacementResult result;
-    const StrategySpec& spec = *info_.spec;
     const trace::AccessSequence& seq = *request.sequence;
-    switch (spec.inter) {
-      case InterPolicy::kAfd:
+    switch (family_) {
+      case Family::kAfd:
         result.placement =
-            DistributeAfd(seq, request.num_dbcs, request.capacity,
-                          {spec.intra});
+            DistributeAfd(seq, request.num_dbcs, request.capacity, {intra_});
         break;
-      case InterPolicy::kDma:
+      case Family::kDma:
         result.placement =
-            DistributeDma(seq, request.num_dbcs, request.capacity,
-                          {spec.intra})
+            DistributeDma(seq, request.num_dbcs, request.capacity, {intra_})
                 .placement;
         break;
-      case InterPolicy::kDmaMulti:
+      case Family::kDmaMulti:
         result.placement =
             DistributeMultiDma(seq, request.num_dbcs, request.capacity,
-                               {{spec.intra}})
+                               {{intra_}})
                 .placement;
         break;
-      case InterPolicy::kGa: {
+      case Family::kGa: {
         GaOptions ga = request.options.ga;
         ga.cost = request.options.cost;
         GaResult ga_result = RunGa(seq, request.num_dbcs, request.capacity, ga);
@@ -67,7 +70,7 @@ class BuiltinStrategy final : public PlacementStrategy {
         result.evaluations = ga_result.evaluations;
         break;
       }
-      case InterPolicy::kRandomWalk: {
+      case Family::kRandomWalk: {
         RwOptions rw = request.options.rw;
         rw.cost = request.options.cost;
         RwResult rw_result =
@@ -82,8 +85,7 @@ class BuiltinStrategy final : public PlacementStrategy {
     // The search strategies already evaluated their best candidate under
     // request.options.cost; only the constructive heuristics need the
     // explicit cost pass, and only when the caller wants it.
-    if (request.compute_cost && spec.inter != InterPolicy::kGa &&
-        spec.inter != InterPolicy::kRandomWalk) {
+    if (request.compute_cost && !info_.search_based) {
       result.cost = ShiftCost(seq, result.placement, request.options.cost);
     }
     return result;
@@ -91,20 +93,22 @@ class BuiltinStrategy final : public PlacementStrategy {
 
  private:
   StrategyInfo info_;
+  Family family_;
+  IntraHeuristic intra_;
 };
 
-void RegisterSpec(StrategyRegistry& registry, StrategySpec spec,
-                  std::string summary, bool search_based) {
+void RegisterBuiltin(StrategyRegistry& registry, std::string name,
+                     Family family, IntraHeuristic intra, std::string summary,
+                     bool search_based) {
   StrategyInfo info;
-  info.name = ToString(spec);
+  info.name = std::move(name);
   info.summary = std::move(summary);
   info.search_based = search_based;
-  info.spec = spec;
   // Copy the name out before the capture moves `info`: the two arguments
   // are indeterminately sequenced.
-  std::string name = info.name;
-  registry.Register(std::move(name), [info = std::move(info)] {
-    return std::make_shared<const BuiltinStrategy>(info);
+  std::string key = info.name;
+  registry.Register(std::move(key), [info = std::move(info), family, intra] {
+    return std::make_shared<const BuiltinStrategy>(info, family, intra);
   });
 }
 
@@ -113,34 +117,38 @@ void RegisterSpec(StrategyRegistry& registry, StrategySpec spec,
 // a static library, so Global() triggers this explicitly instead.
 
 void RegisterConstructiveStrategies(StrategyRegistry& registry) {
+  // Registered as "<family>-<intra>": "afd-ofu", "dma-sr", "dma2-ge", ...
   constexpr struct {
-    InterPolicy inter;
+    Family family;
+    const char* prefix;
     const char* summary;
   } kInterFamilies[] = {
-      {InterPolicy::kAfd, "frequency deal across DBCs (Chen et al.)"},
-      {InterPolicy::kDma, "liveliness-aware distribution (Algorithm 1)"},
-      {InterPolicy::kDmaMulti, "multi-set DMA (§VI extension)"},
+      {Family::kAfd, "afd", "frequency deal across DBCs (Chen et al.)"},
+      {Family::kDma, "dma", "liveliness-aware distribution (Algorithm 1)"},
+      {Family::kDmaMulti, "dma2", "multi-set DMA (§VI extension)"},
   };
   constexpr IntraHeuristic kIntras[] = {
       IntraHeuristic::kNone, IntraHeuristic::kOfu, IntraHeuristic::kChen,
       IntraHeuristic::kShiftsReduce, IntraHeuristic::kGreedyEdge};
   for (const auto& family : kInterFamilies) {
     for (const IntraHeuristic intra : kIntras) {
-      RegisterSpec(registry, {family.inter, intra},
-                   std::string(family.summary) + ", intra policy '" +
-                       std::string(ToString(intra)) + "'",
-                   /*search_based=*/false);
+      const std::string intra_name(ToString(intra));
+      RegisterBuiltin(registry, std::string(family.prefix) + "-" + intra_name,
+                      family.family, intra,
+                      std::string(family.summary) + ", intra policy '" +
+                          intra_name + "'",
+                      /*search_based=*/false);
     }
   }
 }
 
 void RegisterSearchStrategies(StrategyRegistry& registry) {
-  RegisterSpec(registry, {InterPolicy::kGa, IntraHeuristic::kNone},
-               "genetic algorithm (§III-C), near-optimal offline baseline",
-               /*search_based=*/true);
-  RegisterSpec(registry, {InterPolicy::kRandomWalk, IntraHeuristic::kNone},
-               "uniform random-walk search, the GA's sanity baseline",
-               /*search_based=*/true);
+  RegisterBuiltin(registry, "ga", Family::kGa, IntraHeuristic::kNone,
+                  "genetic algorithm (§III-C), near-optimal offline baseline",
+                  /*search_based=*/true);
+  RegisterBuiltin(registry, "rw", Family::kRandomWalk, IntraHeuristic::kNone,
+                  "uniform random-walk search, the GA's sanity baseline",
+                  /*search_based=*/true);
 }
 
 }  // namespace

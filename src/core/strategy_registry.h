@@ -7,15 +7,12 @@
 // up by that name at run time. The experiment engine (sim/experiment.h),
 // the bench binaries and the examples all resolve strategies through the
 // registry, so new strategies (ShiftsReduce variants, reconfigurable
-// layouts, ...) plug in without touching core dispatch code.
-//
-// The legacy enum-based entry points (ParseStrategy / RunStrategy /
-// PaperStrategies in core/strategy.h) are thin shims over this registry.
+// layouts, ...) plug in without touching core dispatch code. A registry
+// name is the only way to identify a strategy.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/placement.h"
@@ -63,10 +60,6 @@ struct StrategyInfo {
   /// True when the strategy consumes the GA/RW effort knobs and a seed
   /// (ScaleSearchEffort applies; results depend on options.ga/options.rw).
   bool search_based = false;
-  /// Set for the built-in enum-backed strategies so the legacy
-  /// StrategySpec entry points can round-trip through the registry;
-  /// external strategies leave it empty.
-  std::optional<StrategySpec> spec;
 };
 
 /// Abstract placement strategy. Implementations must be stateless or

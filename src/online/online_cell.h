@@ -11,7 +11,7 @@
 //
 // sim::RunCell dispatches here for any strategy name that resolves in
 // the online-policy registry, which is what lets
-// ExperimentOptions::extra_strategies mix policies into RunMatrix grids.
+// ExperimentOptions::strategies mix policies into RunMatrix grids.
 #pragma once
 
 #include <string_view>

@@ -6,7 +6,7 @@
 // re-placement, how large the windows are, and whether migration is
 // charged. Policies enter the evaluation matrix by name exactly like
 // strategies do — sim::RunCell runs an online-policy name as an online
-// cell, so `ExperimentOptions::extra_strategies`, `rtmbench` scenarios
+// cell, so `ExperimentOptions::strategies`, `rtmbench` scenarios
 // and `placement_explorer online` all accept policy names
 // interchangeably with strategy names.
 #pragma once

@@ -10,8 +10,8 @@
 // golden and ResultTable.
 //
 // sim::RunCell dispatches here for any name that resolves in the
-// serve-policy registry, which is what lets ExperimentOptions::
-// extra_strategies mix serve policies into RunMatrix grids.
+// serve-policy registry, which is what lets ExperimentOptions::strategies
+// mix serve policies into RunMatrix grids.
 #pragma once
 
 #include <string_view>

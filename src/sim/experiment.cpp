@@ -218,7 +218,6 @@ RunResult RunResultFromJson(const util::JsonValue& value) {
   result.benchmark = value.At("benchmark").AsString();
   result.dbcs = static_cast<unsigned>(value.At("dbcs").AsUInt());
   result.strategy_name = value.At("strategy").AsString();
-  result.strategy = core::ParseStrategy(result.strategy_name);
   result.metrics.shifts = value.At("shifts").AsUInt();
   result.metrics.accesses = value.At("accesses").AsUInt();
   result.metrics.runtime_ns = value.At("runtime_ns").AsDouble();
@@ -259,7 +258,6 @@ RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
   // Describe().name: a delegating factory may self-describe differently,
   // and the cell must stay reachable under the name the caller used.
   run.strategy_name = util::ToLower(strategy_name);
-  run.strategy = runner->Describe().spec;
 
   for (std::size_t s = 0; s < benchmark.sequences.size(); ++s) {
     AccumulateStaticSequence(benchmark.sequences[s], s, dbcs, *runner,
@@ -297,7 +295,6 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
   run.benchmark = StreamedBenchmarkName(path);
   run.dbcs = dbcs;
   run.strategy_name = util::ToLower(strategy_name);
-  if (runner) run.strategy = runner->Describe().spec;
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -324,12 +321,6 @@ RunResult RunStreamedTraceCell(const std::string& path, unsigned dbcs,
   return run;
 }
 
-RunResult RunCell(const offsetstone::Benchmark& benchmark, unsigned dbcs,
-                  const core::StrategySpec& strategy,
-                  const ExperimentOptions& options) {
-  return RunCell(benchmark, dbcs, ToString(strategy), options);
-}
-
 namespace {
 
 /// Shared body of both RunMatrix overloads. `stream_paths` parallels
@@ -340,24 +331,22 @@ std::vector<RunResult> RunMatrixImpl(
     const std::vector<offsetstone::Benchmark>& suite,
     const std::vector<std::string>& stream_paths,
     const ExperimentOptions& options) {
-  // Enum-backed strategies first, then the name-only extras, matching the
-  // documented grid order. Deduped on the normalized name: a repeated
-  // strategy would burn duplicate cells and then be silently dropped by
-  // ResultTable's first-wins map.
+  // Deduped on the normalized name: a repeated strategy would burn
+  // duplicate cells and then be silently dropped by ResultTable's
+  // first-wins map. Every name is checked before any cell runs, so a bad
+  // grid costs nothing.
   std::vector<std::string> strategy_names;
-  strategy_names.reserve(options.strategies.size() +
-                         options.extra_strategies.size());
-  const auto add_name = [&strategy_names](std::string name) {
-    if (std::find(strategy_names.begin(), strategy_names.end(), name) ==
+  strategy_names.reserve(options.strategies.size());
+  for (const std::string& name : options.strategies) {
+    std::string key = util::ToLower(name);
+    if (std::find(strategy_names.begin(), strategy_names.end(), key) !=
         strategy_names.end()) {
-      strategy_names.push_back(std::move(name));
+      continue;
     }
-  };
-  for (const core::StrategySpec& spec : options.strategies) {
-    add_name(ToString(spec));
-  }
-  for (const std::string& name : options.extra_strategies) {
-    add_name(util::ToLower(name));
+    if (LookupCellKind(key) == CellKind::kNone) {
+      throw NotACell("RunMatrix", name);
+    }
+    strategy_names.push_back(std::move(key));
   }
 
   struct Cell {
@@ -585,15 +574,9 @@ const RunMetrics& ResultTable::At(const std::string& benchmark, unsigned dbcs,
   return it->second;
 }
 
-const RunMetrics& ResultTable::At(const std::string& benchmark, unsigned dbcs,
-                                  const core::StrategySpec& strategy) const {
-  return At(benchmark, dbcs, core::ToString(strategy));
-}
-
 std::vector<double> ResultTable::NormalizedShifts(
     const std::vector<std::string>& benchmarks, unsigned dbcs,
-    const core::StrategySpec& strategy,
-    const core::StrategySpec& baseline) const {
+    const std::string& strategy, const std::string& baseline) const {
   std::vector<double> normalized;
   normalized.reserve(benchmarks.size());
   for (const std::string& b : benchmarks) {

@@ -14,13 +14,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/strategy.h"
 #include "obs/obs.h"
 #include "offsetstone/suite.h"
 #include "rtm/config.h"
@@ -54,9 +52,6 @@ struct RunResult {
   unsigned dbcs = 0;
   /// Registry name of the strategy this cell ran (canonical lowercase).
   std::string strategy_name;
-  /// Enum spec when the strategy is an enum-backed built-in; nullopt for
-  /// cells from ExperimentOptions::extra_strategies without one.
-  std::optional<core::StrategySpec> strategy;
   RunMetrics metrics;
   /// Analytic shift cost reported by the strategy (sums over sequences);
   /// cross-checks metrics.shifts from the device simulation.
@@ -69,8 +64,7 @@ struct RunResult {
 
 /// Serializes one cell as a JSON object (the element type of the bench
 /// harness' "cells" array; see bench/harness/report.h for the schema).
-/// Emits `strategy` by registry name only — the enum spec is restored on
-/// the way back via core::ParseStrategy.
+/// Emits `strategy` by registry name.
 void WriteJson(util::JsonWriter& writer, const RunResult& result);
 
 /// Inverse of WriteJson; throws std::runtime_error on schema mismatch.
@@ -86,11 +80,13 @@ using ProgressCallback =
 
 struct ExperimentOptions {
   std::vector<unsigned> dbc_counts{2, 4, 8, 16};
-  std::vector<core::StrategySpec> strategies = core::PaperStrategies();
-  /// Additional strategies by registry name, appended after `strategies`
-  /// in the grid. This is how externally registered strategies (see
-  /// core::StrategyRegistrar) enter the evaluation matrix.
-  std::vector<std::string> extra_strategies;
+  /// Cell names of the grid, in grid order: strategies (including
+  /// externally registered ones, see core::StrategyRegistrar), online,
+  /// serve and cache policies. Case-insensitive; repeats collapse to
+  /// their first occurrence. The default is the six solutions of §IV-A
+  /// in the paper's listing order.
+  std::vector<std::string> strategies{"afd-ofu", "dma-ofu", "dma-chen",
+                                      "dma-sr",  "ga",      "rw"};
   /// GA/RW effort relative to the paper's parameters (1.0 = 200 GA
   /// generations with mu = lambda = 100 and 60 000 RW iterations). The
   /// benches default to a fraction so the full matrix runs in minutes;
@@ -148,7 +144,8 @@ struct ExperimentOptions {
 /// capacity run on an iso-DBC-count device with proportionally deeper
 /// DBCs (see ConfigFor in experiment.cpp and the "Oversized sequences"
 /// note in README.md); everything else uses rtm::RtmConfig::Paper(dbcs)
-/// exactly.
+/// exactly. Throws std::invalid_argument naming the first grid name that
+/// is not a cell (see RunCell) before any cell runs.
 [[nodiscard]] std::vector<RunResult> RunMatrix(
     const std::vector<offsetstone::Benchmark>& suite,
     const ExperimentOptions& options);
@@ -201,23 +198,13 @@ struct ExperimentOptions {
                                              std::string_view strategy_name,
                                              const ExperimentOptions& options);
 
-/// Enum-spec convenience overload; equivalent to passing ToString(spec).
-[[nodiscard]] RunResult RunCell(const offsetstone::Benchmark& benchmark,
-                                unsigned dbcs,
-                                const core::StrategySpec& strategy,
-                                const ExperimentOptions& options);
-
 /// Index into RunMatrix results: metrics keyed by (benchmark, dbcs,
 /// strategy name).
 class ResultTable {
  public:
   explicit ResultTable(const std::vector<RunResult>& results);
 
-  [[nodiscard]] const RunMetrics& At(const std::string& benchmark,
-                                     unsigned dbcs,
-                                     const core::StrategySpec& strategy) const;
-
-  /// Name-keyed lookup, covering extra_strategies cells as well.
+  /// Case-insensitive in the strategy name.
   [[nodiscard]] const RunMetrics& At(const std::string& benchmark,
                                      unsigned dbcs,
                                      const std::string& strategy_name) const;
@@ -226,8 +213,7 @@ class ResultTable {
   /// normalizes shift counts to GA, Fig. 5 energies to AFD-OFU.
   [[nodiscard]] std::vector<double> NormalizedShifts(
       const std::vector<std::string>& benchmarks, unsigned dbcs,
-      const core::StrategySpec& strategy,
-      const core::StrategySpec& baseline) const;
+      const std::string& strategy, const std::string& baseline) const;
 
  private:
   std::map<std::string, RunMetrics> cells_;

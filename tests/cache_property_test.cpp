@@ -160,9 +160,8 @@ TEST(CacheDeterminism, BitIdenticalAtAFixedSeed) {
 TEST(CacheDeterminism, MatrixCellsInvariantUnderThreadCount) {
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 8};
-  options.strategies = {};
-  options.extra_strategies = {"cache-lru-c50", "cache-sample-c50",
-                              "cache-shift-aware-c25"};
+  options.strategies = {"cache-lru-c50", "cache-sample-c50",
+                        "cache-shift-aware-c25"};
 
   const std::vector<std::string> specs = {"pointer-chase", "kv-churn"};
 

@@ -13,7 +13,7 @@
 #include "core/cost_model.h"
 #include "core/genetic.h"
 #include "core/inter_dma.h"
-#include "core/strategy.h"
+#include "core/strategy_registry.h"
 #include "trace/access_sequence.h"
 
 namespace rtmp {
@@ -89,9 +89,11 @@ TEST_P(TinyInstances, HeuristicsNeverBeatTheOptimum) {
   for (const char* name :
        {"afd-ofu", "afd-chen", "afd-sr", "afd-ge", "dma-ofu", "dma-chen",
         "dma-sr", "dma-ge", "dma2-sr", "rw"}) {
-    const auto spec = *core::ParseStrategy(name);
-    const Placement p = core::RunStrategy(spec, seq, param.dbcs,
-                                          core::kUnboundedCapacity, options);
+    const Placement p =
+        core::StrategyRegistry::Global()
+            .Find(name)
+            ->Run({&seq, param.dbcs, core::kUnboundedCapacity, options})
+            .placement;
     EXPECT_GE(core::ShiftCost(seq, p), optimum)
         << name << " on " << param.trace;
   }

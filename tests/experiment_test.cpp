@@ -29,10 +29,7 @@ offsetstone::Benchmark TinyBenchmark(const char* name, const char* text) {
 ExperimentOptions FastOptions() {
   ExperimentOptions options;
   options.dbc_counts = {2, 4};
-  options.strategies = {
-      {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-      {core::InterPolicy::kDma, core::IntraHeuristic::kOfu},
-  };
+  options.strategies = {"afd-ofu", "dma-ofu"};
   options.search_effort = 0.01;
   return options;
 }
@@ -40,9 +37,7 @@ ExperimentOptions FastOptions() {
 TEST(Experiment, RunCellAccumulatesAllSequences) {
   offsetstone::Benchmark b = TinyBenchmark("two-seqs", "ababab");
   b.sequences.push_back(trace::AccessSequence::FromCompactString("cdcd"));
-  const RunResult result =
-      RunCell(b, 2, {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu},
-              FastOptions());
+  const RunResult result = RunCell(b, 2, "afd-ofu", FastOptions());
   EXPECT_EQ(result.metrics.accesses, 6u + 4u);
   EXPECT_GT(result.metrics.runtime_ns, 0.0);
   EXPECT_GT(result.metrics.total_energy_pj(), 0.0);
@@ -62,9 +57,7 @@ TEST(Experiment, ResultTableLooksUpCells) {
       TinyBenchmark("one", "abcabc")};
   const auto options = FastOptions();
   const ResultTable table(RunMatrix(suite, options));
-  const auto& metrics =
-      table.At("one", 2, {core::InterPolicy::kAfd, core::IntraHeuristic::kOfu});
-  EXPECT_EQ(metrics.accesses, 6u);
+  EXPECT_EQ(table.At("one", 2, "afd-ofu").accesses, 6u);
   EXPECT_THROW((void)table.At("missing", 2, options.strategies[0]),
                std::out_of_range);
 }
@@ -109,7 +102,7 @@ TEST(Experiment, OversizedSequenceWidensTheDevice) {
   big.sequences.push_back(std::move(seq));
   ExperimentOptions options = FastOptions();
   options.dbc_counts = {2};
-  options.strategies = {{core::InterPolicy::kAfd, core::IntraHeuristic::kOfu}};
+  options.strategies = {"afd-ofu"};
   const auto results = RunMatrix({big}, options);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].metrics.accesses, 1100u);
@@ -170,7 +163,7 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
       TinyBenchmark("two", "aabbccaabbcc"),
       TinyBenchmark("three", "abcdabcdabcd")};
   ExperimentOptions options = FastOptions();
-  options.strategies = core::PaperStrategies();
+  options.strategies = ExperimentOptions{}.strategies;  // the paper's six
   options.search_effort = 0.02;
 
   options.num_threads = 1;
@@ -184,7 +177,6 @@ TEST(Experiment, ParallelMatrixIsBitIdenticalToSerial) {
     EXPECT_EQ(serial[i].benchmark, parallel[i].benchmark);
     EXPECT_EQ(serial[i].dbcs, parallel[i].dbcs);
     EXPECT_EQ(serial[i].strategy_name, parallel[i].strategy_name);
-    EXPECT_EQ(serial[i].strategy, parallel[i].strategy);
     // ...and bit-identical metrics: per-cell seeds do not depend on the
     // execution schedule.
     EXPECT_EQ(serial[i].metrics.shifts, parallel[i].metrics.shifts);
@@ -226,13 +218,13 @@ TEST(Experiment, ProgressCallbackSeesEveryCellExactlyOnce) {
 }
 
 /// Minimal external strategy: deal variables by DESCENDING id, round
-/// robin. Exists only to prove non-enum strategies reach the engine.
+/// robin. Exists only to prove external strategies reach the engine.
 class ReverseIdStrategy final : public core::PlacementStrategy {
  public:
   const core::StrategyInfo& Describe() const noexcept override {
     static const core::StrategyInfo info{
         "rev-id", "descending-id round-robin deal (test strategy)",
-        /*search_based=*/false, /*spec=*/{}};
+        /*search_based=*/false};
     return info;
   }
 
@@ -257,45 +249,61 @@ const core::StrategyRegistrar kReverseIdRegistrar{"rev-id", [] {
   return std::make_shared<const ReverseIdStrategy>();
 }};
 
-TEST(Experiment, ExtraStrategiesReachTheMatrixByName) {
+TEST(Experiment, ExternalStrategiesReachTheMatrixByName) {
   const std::vector<offsetstone::Benchmark> suite = {
       TinyBenchmark("one", "abcabc")};
   ExperimentOptions options = FastOptions();
   // Mixed case on purpose: cells must stay reachable under the requested
   // name, matching the registry's case-insensitive resolution.
-  options.extra_strategies = {"rev-id", "AFD-GE"};
+  options.strategies.insert(options.strategies.end(), {"rev-id", "AFD-GE"});
   const auto results = RunMatrix(suite, options);
   EXPECT_EQ(results.size(),
-            options.dbc_counts.size() *
-                (options.strategies.size() + options.extra_strategies.size()));
+            options.dbc_counts.size() * options.strategies.size());
 
   bool saw_external = false;
   for (const RunResult& r : results) {
     if (r.strategy_name != "rev-id") continue;
     saw_external = true;
-    EXPECT_FALSE(r.strategy.has_value());  // no enum backing
     EXPECT_EQ(r.metrics.accesses, 6u);
   }
   EXPECT_TRUE(saw_external);
 
-  // Name-keyed table lookup covers both extras and built-ins.
+  // Name-keyed table lookup covers external and built-in cells.
   const ResultTable table(results);
-  EXPECT_EQ(table.At("one", 2, std::string("rev-id")).accesses, 6u);
-  EXPECT_EQ(table.At("one", 2, std::string("afd-ge")).accesses, 6u);
-  EXPECT_THROW((void)table.At("one", 2, std::string("missing-name")),
-               std::out_of_range);
+  EXPECT_EQ(table.At("one", 2, "rev-id").accesses, 6u);
+  EXPECT_EQ(table.At("one", 2, "afd-ge").accesses, 6u);
+  EXPECT_THROW((void)table.At("one", 2, "missing-name"), std::out_of_range);
 }
 
 TEST(Experiment, MatrixDedupesOverlappingStrategyNames) {
   const std::vector<offsetstone::Benchmark> suite = {
       TinyBenchmark("one", "abcabc")};
   ExperimentOptions options = FastOptions();
-  // Both already in FastOptions().strategies (afd-ofu, dma-ofu): the grid
-  // must not run duplicate cells for them.
-  options.extra_strategies = {"AFD-OFU", "dma-ofu", "afd-ge"};
+  // Repeats of FastOptions().strategies (afd-ofu, dma-ofu), in any case:
+  // the grid must not run duplicate cells for them.
+  options.strategies.insert(options.strategies.end(),
+                            {"AFD-OFU", "dma-ofu", "afd-ge"});
   const auto results = RunMatrix(suite, options);
-  EXPECT_EQ(results.size(),
-            options.dbc_counts.size() * (options.strategies.size() + 1));
+  EXPECT_EQ(results.size(), options.dbc_counts.size() * 3);
+}
+
+TEST(Experiment, MatrixRejectsUnknownNamesBeforeAnyCellRuns) {
+  const std::vector<offsetstone::Benchmark> suite = {
+      TinyBenchmark("one", "abcabc"), TinyBenchmark("two", "aabbcc")};
+  ExperimentOptions options = FastOptions();
+  options.strategies = {"dma-sr", "no-such-strategy"};
+  std::size_t completed = 0;
+  options.progress = [&completed](const RunResult&, std::size_t,
+                                  std::size_t) { ++completed; };
+  try {
+    (void)RunMatrix(suite, options);
+    ADD_FAILURE() << "RunMatrix accepted an unknown name";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("'no-such-strategy'"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(completed, 0u);
 }
 
 TEST(Experiment, ProgressCallbackExceptionsPropagateFromWorkers) {
@@ -314,9 +322,7 @@ TEST(Experiment, ProgressCallbackExceptionsPropagateFromWorkers) {
 TEST(Experiment, RunCellReportsPlacementCostAndWallTime) {
   const offsetstone::Benchmark b =
       TinyBenchmark("phased", "g" "ababab" "g" "cdcdcd" "g");
-  const RunResult result =
-      RunCell(b, 2, {core::InterPolicy::kDma, core::IntraHeuristic::kOfu},
-              FastOptions());
+  const RunResult result = RunCell(b, 2, "dma-ofu", FastOptions());
   // The analytic cost the strategy reports equals the simulator's count.
   EXPECT_EQ(result.placement_cost, result.metrics.shifts);
   EXPECT_GE(result.placement_wall_ms, 0.0);
@@ -325,9 +331,7 @@ TEST(Experiment, RunCellReportsPlacementCostAndWallTime) {
 
 TEST(Experiment, RunCellRejectsUnregisteredStrategies) {
   const offsetstone::Benchmark b = TinyBenchmark("x", "abab");
-  core::StrategySpec bogus;
-  bogus.inter = static_cast<core::InterPolicy>(250);
-  EXPECT_THROW((void)RunCell(b, 2, bogus, FastOptions()),
+  EXPECT_THROW((void)RunCell(b, 2, "no-such-strategy", FastOptions()),
                std::invalid_argument);
   // Eviction-policy names live in the cell-name space but are not cells.
   EXPECT_THROW((void)RunCell(b, 2, "cache-lru", FastOptions()),
@@ -445,8 +449,9 @@ TEST(Experiment, StreamedMatrixMatchesMaterializedMatrix) {
   const std::string path = WriteStreamPinTrace();
   ExperimentOptions options = FastOptions();
   options.dbc_counts = {4};
-  options.extra_strategies = {"online-fixed-dma-sr", "cache-lru-c50",
-                              "cache-shift-aware-c25"};
+  options.strategies.insert(
+      options.strategies.end(),
+      {"online-fixed-dma-sr", "cache-lru-c50", "cache-shift-aware-c25"});
   // Mixed specs: a trace FILE (streamable) next to a registry workload
   // (always materialized) — both paths must land in one coherent grid.
   const std::vector<std::string> specs = {path, "pointer-chase"};
@@ -458,9 +463,7 @@ TEST(Experiment, StreamedMatrixMatchesMaterializedMatrix) {
   const auto streamed = RunMatrix(specs, options);
 
   ASSERT_EQ(materialized.size(), streamed.size());
-  ASSERT_EQ(materialized.size(),
-            specs.size() * (options.strategies.size() +
-                            options.extra_strategies.size()));
+  ASSERT_EQ(materialized.size(), specs.size() * options.strategies.size());
   for (std::size_t i = 0; i < materialized.size(); ++i) {
     ExpectCellsEqual(materialized[i], streamed[i],
                      materialized[i].benchmark + "/" +
@@ -472,7 +475,7 @@ TEST(Experiment, DeterministicAcrossRuns) {
   const std::vector<offsetstone::Benchmark> suite = {
       TinyBenchmark("det", "abcdabcdabcd")};
   ExperimentOptions options = FastOptions();
-  options.strategies = core::PaperStrategies();
+  options.strategies = ExperimentOptions{}.strategies;  // the paper's six
   options.dbc_counts = {2};
   const auto a = RunMatrix(suite, options);
   const auto b = RunMatrix(suite, options);

@@ -257,9 +257,8 @@ offsetstone::Benchmark TinyBenchmark(const char* name, const char* text) {
 sim::ExperimentOptions ObsMatrixOptions() {
   sim::ExperimentOptions options;
   options.dbc_counts = {4};
-  options.strategies.clear();
-  options.extra_strategies = {"dma-sr", "online-ewma-dma-sr",
-                              "serve-1s-ewma-dma-sr", "cache-lru-c50"};
+  options.strategies = {"dma-sr", "online-ewma-dma-sr",
+                        "serve-1s-ewma-dma-sr", "cache-lru-c50"};
   options.search_effort = 0.01;
   return options;
 }

@@ -137,9 +137,7 @@ TEST(OnlineDeterminism, BitIdenticalAtAFixedSeed) {
 TEST(OnlineDeterminism, MatrixCellsInvariantUnderThreadCount) {
   sim::ExperimentOptions options;
   options.dbc_counts = {4, 8};
-  options.strategies = {};
-  options.extra_strategies = {"dma-sr", "online-fixed-dma-sr",
-                              "online-ewma-dma-sr"};
+  options.strategies = {"dma-sr", "online-fixed-dma-sr", "online-ewma-dma-sr"};
 
   const std::vector<std::string> specs = {
       "phased(gemm-tiled,stream-scan)", "hash-join"};

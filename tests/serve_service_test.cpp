@@ -478,9 +478,7 @@ TEST(ServeDeterminism, MatrixCellsAreThreadCountInvariant) {
 
   sim::ExperimentOptions options;
   options.dbc_counts = {4};
-  options.strategies.clear();
-  options.extra_strategies = {"serve-1s-static-dma-sr",
-                              "serve-2s-tight-ewma-dma-sr"};
+  options.strategies = {"serve-1s-static-dma-sr", "serve-2s-tight-ewma-dma-sr"};
 
   options.num_threads = 1;
   const auto serial = sim::RunMatrix({benchmark}, options);

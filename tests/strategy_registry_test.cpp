@@ -31,17 +31,6 @@ TEST(StrategyRegistry, GlobalContainsEveryBuiltinCombination) {
   EXPECT_GE(registry.size(), 17u);
 }
 
-TEST(StrategyRegistry, PaperStrategiesResolveThroughTheRegistry) {
-  auto& registry = StrategyRegistry::Global();
-  for (const StrategySpec& spec : PaperStrategies()) {
-    const auto strategy = registry.Find(ToString(spec));
-    ASSERT_NE(strategy, nullptr) << ToString(spec);
-    EXPECT_EQ(strategy->Describe().name, ToString(spec));
-    ASSERT_TRUE(strategy->Describe().spec.has_value());
-    EXPECT_EQ(*strategy->Describe().spec, spec);
-  }
-}
-
 TEST(StrategyRegistry, EveryStrategyDescribesItself) {
   auto& registry = StrategyRegistry::Global();
   for (const auto& name : registry.Names()) {
@@ -101,22 +90,6 @@ TEST(StrategyRegistry, PlacementOnlyRequestsSkipTheCostPass) {
             ShiftCost(seq, searched.placement, request.options.cost));
 }
 
-TEST(StrategyRegistry, RunMatchesTheLegacyRunStrategyShim) {
-  const AccessSequence seq = PhasedSequence();
-  auto& registry = StrategyRegistry::Global();
-  StrategyOptions options;
-  ScaleSearchEffort(options, 0.02);
-  for (const StrategySpec& spec : PaperStrategies()) {
-    const auto direct =
-        registry.Find(ToString(spec))
-            ->Run({&seq, 4, kUnboundedCapacity, options})
-            .placement;
-    const Placement shimmed =
-        RunStrategy(spec, seq, 4, kUnboundedCapacity, options);
-    EXPECT_EQ(direct, shimmed) << ToString(spec);
-  }
-}
-
 TEST(StrategyRegistry, RunValidatesTheRequest) {
   const auto strategy = StrategyRegistry::Global().Find("afd-ofu");
   ASSERT_NE(strategy, nullptr);
@@ -171,9 +144,6 @@ TEST(StrategyRegistry, ExternalStrategiesPlugInByName) {
   auto& registry = StrategyRegistry::Global();
   const auto strategy = registry.Find("first-use");
   ASSERT_NE(strategy, nullptr);
-  // Not enum-backed: invisible to the legacy StrategySpec shims.
-  EXPECT_FALSE(strategy->Describe().spec.has_value());
-  EXPECT_FALSE(ParseStrategy("first-use").has_value());
 
   const AccessSequence seq = PhasedSequence();
   const PlacementResult result =

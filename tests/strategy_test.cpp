@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/strategy.h"
 #include "core/strategy_registry.h"
+#include "sim/experiment.h"
 #include "trace/access_sequence.h"
 
 namespace rtmp::core {
@@ -13,28 +17,16 @@ namespace {
 
 using trace::AccessSequence;
 
-TEST(Strategy, ParseAndToStringRoundTripForEveryRegisteredName) {
-  // The accepted-name list is derived from the registry, so this is
-  // exhaustive by construction: every enum-backed registered name must
-  // round-trip. Registered strategies without an enum spec (external
-  // StrategyRegistrar users) are intentionally outside the shim and are
-  // skipped.
-  const auto& registry = StrategyRegistry::Global();
-  std::size_t enum_backed = 0;
-  for (const auto& name : RegisteredStrategyNames()) {
-    const auto info = registry.Describe(name);
-    ASSERT_TRUE(info.has_value()) << name;
-    if (!info->spec.has_value()) continue;
-    ++enum_backed;
-    const auto spec = ParseStrategy(name);
-    ASSERT_TRUE(spec.has_value()) << name;
-    EXPECT_EQ(ToString(*spec), name);
-  }
-  ASSERT_GE(enum_backed, 17u);  // {afd,dma,dma2} x 5 intras + ga + rw
+/// The placement the registered strategy `name` produces.
+Placement Place(std::string_view name, const AccessSequence& seq,
+                std::uint32_t dbcs, const StrategyOptions& options) {
+  const auto strategy = StrategyRegistry::Global().Find(name);
+  if (!strategy) throw std::invalid_argument(std::string(name));
+  return strategy->Run({&seq, dbcs, kUnboundedCapacity, options}).placement;
 }
 
 TEST(Strategy, RegisteredNamesCoverTheDocumentedGrid) {
-  const auto names = RegisteredStrategyNames();
+  const auto names = StrategyRegistry::Global().Names();
   const auto has = [&](const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
@@ -50,43 +42,40 @@ TEST(Strategy, RegisteredNamesCoverTheDocumentedGrid) {
   EXPECT_TRUE(has("rw"));
 }
 
-TEST(Strategy, ParseIsCaseInsensitive) {
-  const auto spec = ParseStrategy("DMA-SR");
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->inter, InterPolicy::kDma);
-  EXPECT_EQ(spec->intra, IntraHeuristic::kShiftsReduce);
+TEST(Strategy, FindIsCaseInsensitive) {
+  const auto strategy = StrategyRegistry::Global().Find("DMA-SR");
+  ASSERT_NE(strategy, nullptr);
+  EXPECT_EQ(strategy->Describe().name, "dma-sr");
 }
 
-TEST(Strategy, ParseRejectsUnknownNames) {
-  EXPECT_FALSE(ParseStrategy("").has_value());
-  EXPECT_FALSE(ParseStrategy("dma").has_value());
-  EXPECT_FALSE(ParseStrategy("dma-").has_value());
-  EXPECT_FALSE(ParseStrategy("xyz-ofu").has_value());
-  EXPECT_FALSE(ParseStrategy("dma-xyz").has_value());
-  EXPECT_FALSE(ParseStrategy("afd-ofu-extra").has_value());
-  EXPECT_FALSE(ParseStrategy(" dma-sr").has_value());
-  EXPECT_FALSE(ParseStrategy("ga2").has_value());
+TEST(Strategy, FindRejectsUnknownNames) {
+  const auto& registry = StrategyRegistry::Global();
+  for (const char* name : {"", "dma", "dma-", "xyz-ofu", "dma-xyz",
+                           "afd-ofu-extra", " dma-sr", "ga2"}) {
+    EXPECT_EQ(registry.Find(name), nullptr) << "'" << name << "'";
+  }
 }
 
-TEST(Strategy, PaperStrategiesAreTheSixOfSectionIvA) {
-  const auto specs = PaperStrategies();
-  ASSERT_EQ(specs.size(), 6u);
-  EXPECT_EQ(ToString(specs[0]), "afd-ofu");
-  EXPECT_EQ(ToString(specs[1]), "dma-ofu");
-  EXPECT_EQ(ToString(specs[2]), "dma-chen");
-  EXPECT_EQ(ToString(specs[3]), "dma-sr");
-  EXPECT_EQ(ToString(specs[4]), "ga");
-  EXPECT_EQ(ToString(specs[5]), "rw");
+TEST(Strategy, DefaultGridIsTheSixOfSectionIvA) {
+  const std::vector<std::string> expected = {"afd-ofu", "dma-ofu", "dma-chen",
+                                             "dma-sr",  "ga",      "rw"};
+  const auto strategies = sim::ExperimentOptions{}.strategies;
+  EXPECT_EQ(strategies, expected);
+  for (const std::string& name : strategies) {
+    const auto strategy = StrategyRegistry::Global().Find(name);
+    ASSERT_NE(strategy, nullptr) << name;
+    EXPECT_EQ(strategy->Describe().name, name);
+  }
 }
 
-TEST(Strategy, RunStrategyProducesCompletePlacements) {
+TEST(Strategy, EveryPaperSolutionProducesCompletePlacements) {
   const auto seq = AccessSequence::FromCompactString(
       "g" "ababab" "g" "cdcdcd" "g" "efef" "g");
   StrategyOptions options;
   ScaleSearchEffort(options, 0.02);
-  for (const auto& spec : PaperStrategies()) {
-    const Placement p = RunStrategy(spec, seq, 4, kUnboundedCapacity, options);
-    EXPECT_TRUE(p.IsComplete()) << ToString(spec);
+  for (const std::string& name : sim::ExperimentOptions{}.strategies) {
+    const Placement p = Place(name, seq, 4, options);
+    EXPECT_TRUE(p.IsComplete()) << name;
     p.CheckInvariants();
   }
 }
@@ -113,16 +102,13 @@ TEST(Strategy, GaRespectsInjectedCostOptions) {
   StrategyOptions options;
   ScaleSearchEffort(options, 0.02);
   options.cost.initial_alignment = rtm::InitialAlignment::kZero;
-  const Placement p = RunStrategy({InterPolicy::kGa, IntraHeuristic::kNone},
-                                  seq, 2, kUnboundedCapacity, options);
+  const Placement p = Place("ga", seq, 2, options);
   EXPECT_TRUE(p.IsComplete());
 }
 
 TEST(Strategy, DmaMultiIsAvailableViaRegistry) {
   const auto seq = AccessSequence::FromCompactString("aabb" "xyxy" "ccdd");
-  const auto spec = ParseStrategy("dma2-ofu");
-  ASSERT_TRUE(spec.has_value());
-  const Placement p = RunStrategy(*spec, seq, 4, kUnboundedCapacity, {});
+  const Placement p = Place("dma2-ofu", seq, 4, {});
   EXPECT_TRUE(p.IsComplete());
   p.CheckInvariants();
 }
